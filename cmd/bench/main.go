@@ -13,12 +13,10 @@
 // two-level directory), so throughput and memory at the sizes the compact
 // encodings exist for are pinned alongside the small grid.
 //
-// Shard width 0 is the legacy serial heap engine — the baseline every
-// other width's speedup is computed against. Widths >= 1 run the sharded
-// event-wheel core (width 1 isolates the wheel's per-event cost from
-// parallelism). Speedups are reported per matrix cell; on a single-CPU
-// host the widths > 1 cannot beat width 1, and the recorded host.cpus
-// says so.
+// Shard width 1 — one worker on the event wheel, the default — is the
+// baseline every other width's speedup is computed against. Speedups are
+// reported per matrix cell; on a single-CPU host the widths > 1 cannot
+// beat width 1, and the recorded host.cpus says so.
 //
 // One extra cell benchmarks the campaign service's durability machinery:
 // the same pinned stress campaign run volatile (no persistence) and
@@ -81,11 +79,10 @@ type result struct {
 	ObsOverhead     float64 `json:"obs_overhead"`
 }
 
-// speedup summarizes one cell: cycles/sec at each width over the serial
-// heap engine (width 0).
+// speedup summarizes one cell: cycles/sec at each width over width 1.
 type speedup struct {
 	cell
-	OverSerial map[string]float64 `json:"over_serial"` // width -> cps(width)/cps(0)
+	OverWidth1 map[string]float64 `json:"over_width1"` // width -> cps(width)/cps(1)
 }
 
 // campaignResult pins the campaign service's durability cost: one fixed
@@ -192,9 +189,6 @@ func runOnce(c cell, w *tango.Workload, shards int, withObs bool) (wall float64,
 	m, err := machine.New(cfg)
 	if err != nil {
 		cli.Fatalf(tool, "%s/%s: %v", c.App, c.Scheme, err)
-	}
-	if shards > 0 && m.Shards() == 0 {
-		cli.Fatalf(tool, "%s/%s: -shards %d fell back to serial: %s", c.App, c.Scheme, shards, m.FallbackReason())
 	}
 	r, err := m.Run(w)
 	if err != nil {
@@ -307,9 +301,9 @@ func main() {
 		cli.Usagef(tool, "-reps must be positive")
 	}
 
-	widths := []int{0, 1, 2, 4}
+	widths := []int{1, 2, 4}
 	rep := report{
-		Version: 4, Tool: tool, Quick: *quick,
+		Version: 5, Tool: tool, Quick: *quick,
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 		Widths: widths,
@@ -317,15 +311,15 @@ func main() {
 
 	for _, c := range matrix(*quick) {
 		w := workload(c)
-		sp := speedup{cell: c, OverSerial: map[string]float64{}}
-		var serial float64
+		sp := speedup{cell: c, OverWidth1: map[string]float64{}}
+		var base float64
 		for _, width := range widths {
 			r := measure(c, w, width, *reps)
 			rep.Results = append(rep.Results, r)
-			if width == 0 {
-				serial = r.CyclesPerSec
-			} else if serial > 0 {
-				sp.OverSerial[fmt.Sprintf("%d", width)] = r.CyclesPerSec / serial
+			if width == 1 {
+				base = r.CyclesPerSec
+			} else if base > 0 {
+				sp.OverWidth1[fmt.Sprintf("%d", width)] = r.CyclesPerSec / base
 			}
 			fmt.Fprintf(os.Stderr, "%s %s procs=%d shards=%d: %.2fs wall, %.0f cycles/s, %d allocs, obs overhead %.2fx\n",
 				c.App, c.Scheme, c.Procs, width, r.WallSeconds, r.CyclesPerSec, r.AllocObjs, r.ObsOverhead)

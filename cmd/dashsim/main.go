@@ -118,8 +118,9 @@ func main() {
 	if err != nil {
 		cli.Fatalf(tool, "%v", err)
 	}
-	if obsFlags.Shards() > 0 && m.Shards() == 0 {
-		fmt.Fprintf(os.Stderr, "%s: -shards %d ignored, serial fallback: %s\n", tool, obsFlags.Shards(), m.FallbackReason())
+	if m.Shards() < obsFlags.Shards() {
+		fmt.Fprintf(os.Stderr, "%s: -shards %d capped at %d (the cluster count bounds the width; -check and -faults run at width 1)\n",
+			tool, obsFlags.Shards(), m.Shards())
 	}
 
 	c := w.Characterize()

@@ -117,10 +117,9 @@ func TestSweepParallelismInvariant(t *testing.T) {
 // TestSweepShardsInvariant renders a simulation-backed section with the
 // sharded machine core at several widths and requires byte-identical
 // output — the end-to-end form of the sharded engine's equivalence
-// guarantee. Width 1 is the reference: every width >= 1 shares the
-// canonical (time, origin cluster, sequence) event order. The legacy
-// serial engine (-shards 0) keeps its own heap-insertion tie-breaking
-// and is locked by the other golden tests, not this one.
+// guarantee. Width 1 (also what -shards 0 selects) is the reference:
+// every width shares the canonical (time, origin cluster, sequence) event
+// order.
 func TestSweepShardsInvariant(t *testing.T) {
 	render := func(shards int) []byte {
 		var buf bytes.Buffer

@@ -127,7 +127,7 @@ func NewObs(tool string) *Obs {
 	flag.StringVar(&o.memPath, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&o.faultSpec, "faults", "", "inject network faults: drop=P,dup=P,delay=P:MAX,outage=P:LEN:EVERY[,seed=N] (see mesh.ParseFaults; empty disables)")
 	flag.DurationVar(&o.deadline, "deadline", 0, "abort a run still going after this wall-clock duration, with the liveness watchdog's diagnostic dump (0 disables)")
-	flag.IntVar(&o.shards, "shards", 0, "run each machine on N parallel event-wheel shards; results are bit-identical at any N >= 1 (0 = the legacy serial engine; runs needing serial-only features fall back automatically)")
+	flag.IntVar(&o.shards, "shards", 0, "run each machine on N parallel event-wheel shards; results are bit-identical at any N (0 and 1 both mean one worker; -check and -faults runs use one)")
 	return o
 }
 
@@ -393,7 +393,8 @@ func (o *Obs) Faults() mesh.FaultConfig {
 // Deadline returns the -deadline wall-clock bound (0 = disabled).
 func (o *Obs) Deadline() time.Duration { return o.deadline }
 
-// Shards returns the -shards machine-core width (0 = the serial engine).
+// Shards returns the -shards machine-core width (0 and 1 both mean one
+// worker).
 func (o *Obs) Shards() int { return o.shards }
 
 // openOut opens path for writing; "-" selects stdout, wrapped so the sink

@@ -94,7 +94,7 @@ func (m *Machine) CheckErr() error {
 // (the protocol package then panics, so the violation record carries the
 // cycle and transaction context the bare panic string cannot).
 func (m *Machine) protoAnomaly(cluster int, op string, block int64) {
-	m.chk.Violationf(check.RuleProtocol, int32(cluster), block, uint64(m.eng.Now()), "%s", op)
+	m.chk.Violationf(check.RuleProtocol, int32(cluster), block, uint64(m.now(m.clusters[cluster])), "%s", op)
 }
 
 // cycleDelta returns end-start for a latency observation, clamping the
@@ -158,7 +158,7 @@ func (m *Machine) invalApplied(b int64) {
 	if m.chk == nil {
 		return
 	}
-	m.chk.InvalApplied(b, uint64(m.eng.Now()))
+	m.chk.InvalApplied(b, uint64(m.simNow()))
 	m.checkBlock(b)
 }
 
@@ -190,7 +190,7 @@ func (m *Machine) checkBlock(b int64) {
 	if h.gate.Busy(b) || h.rac.Tracking(b) || chk.Inflight(b) > 0 {
 		return
 	}
-	now := uint64(m.eng.Now())
+	now := uint64(m.simNow())
 	copies := m.blockCopies(b)
 	check.SingleWriter(copies, func(cl int, detail string) {
 		chk.Violationf(check.RuleSingleWriter, int32(cl), b, now, "%s", detail)
@@ -263,7 +263,7 @@ func (m *Machine) checkRecallClean(h *clusterNode, vb int64) {
 		// invalApplied re-checks when the last one lands.
 		return
 	}
-	now := uint64(m.eng.Now())
+	now := uint64(m.now(h))
 	check.RecallClean(h.id, m.blockCopies(vb), m.entryView(h, vb), func(cl int, detail string) {
 		chk.Violationf(check.RuleRecall, int32(cl), vb, now, "%s", detail)
 	})
@@ -285,5 +285,5 @@ func (m *Machine) finishChecks() {
 			}
 		})
 	}
-	m.chk.Finish(m.extraInval.Value(), uint64(m.eng.Now()))
+	m.chk.Finish(m.reg.Counter("dir.inval.extraneous").Value(), uint64(m.simNow()))
 }

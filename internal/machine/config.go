@@ -101,6 +101,12 @@ type Timing struct {
 	Fill      sim.Time // cache fill after a reply arrives
 }
 
+// TimingError reports a latency model under which the protocol's message
+// order is undefined.
+type TimingError struct{ Reason string }
+
+func (e *TimingError) Error() string { return "machine: degenerate timing: " + e.Reason }
+
 // DefaultTiming returns the calibrated latency constants.
 func DefaultTiming() Timing {
 	return Timing{Hit: 1, Bus: 23, Dir: 8, InvalBus: 8, InvalSend: 2, Fwd: 8, Fill: 2}
@@ -120,20 +126,16 @@ type Config struct {
 	Timing          Timing      // zero value -> DefaultTiming
 	Seed            int64
 
-	// Shards, when > 0, runs the machine on the sharded event-wheel core:
-	// clusters are partitioned across Shards worker goroutines, each with
-	// its own timing wheel, advancing in lockstep windows bounded by the
-	// minimum cross-shard mesh latency (conservative lookahead). Results —
+	// Shards is the event core's worker count: clusters are partitioned
+	// across Shards goroutines, each with its own timing wheel, advancing
+	// in lockstep windows bounded by the minimum cross-cluster mesh
+	// latency (conservative lookahead). Equal-time events fire in
+	// (scheduling cluster, per-cluster sequence) order, so results —
 	// including metrics, traces, spans and queue-depth samples — are
-	// byte-identical at every Shards value >= 1, but differ from the
-	// Shards == 0 serial engine in event tie-breaking: the sharded core
-	// orders equal-time events by (scheduling cluster, per-cluster
-	// sequence) instead of global insertion order, the property that makes
-	// the order independent of the shard count. Configurations the sharded
-	// core cannot honor (fault injection, the invariant checker, mesh port
-	// contention, deliberate protocol faults, degenerate timing) fall back
-	// to the serial engine; Machine.FallbackReason names the offending
-	// flag and the workaround. 0 is the serial default.
+	// byte-identical at every width. 0 and 1 both mean one worker. The
+	// width is capped at the cluster count, and at 1 when the invariant
+	// checker, fault injection, mesh port contention or a deliberate
+	// protocol fault is on; Machine.Shards reports the width used.
 	Shards int
 
 	// Retry tunes the timeout/retry delivery recovery active while
@@ -156,10 +158,9 @@ type Config struct {
 	// directories, gates and RACs) records into; a private registry is
 	// created when nil, readable via Machine.MetricsSnapshot. A machine is
 	// single-writer and reads its own counters back into Result, so a
-	// registry must not be shared between machines. Sharded runs record
-	// into private per-cluster registries and merge them into Metrics at
-	// quiescence, so external registries see sharded runs exactly as they
-	// see serial ones.
+	// registry must not be shared between machines. Clusters record into
+	// private per-cluster registries merged into Metrics at quiescence, so
+	// an external registry sees the same totals at every width.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives structured coherence events (request
 	// issues, directory lookups, invalidation fan-outs, overflow bursts,
@@ -275,6 +276,16 @@ func (c *Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("machine: Shards must not be negative")
+	}
+	t, base := c.Timing, c.Mesh.Base
+	if t == (Timing{}) {
+		t = DefaultTiming()
+	}
+	if c.Mesh.Base == 0 && c.Mesh.PerHop == 0 {
+		base = mesh.DefaultConfig(1).Base
+	}
+	if t.InvalBus == 0 && base == 0 {
+		return &TimingError{Reason: "InvalBus and Mesh.Base are both zero, so an ownership reply can tie with the invalidation acknowledgements it must precede"}
 	}
 	if c.Cache != (cache.Config{}) {
 		// Pre-check the cache geometry so a bad flag combination is an

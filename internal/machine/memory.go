@@ -469,24 +469,9 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 					q.h.Downgrade(b)
 				}
 				m.txPhase(oc, tx, obs.PhFanout)
-				if m.shard != nil {
-					// The serial engine unlocks the home gate from inside the
-					// reply closure at the requester; a shard must not reach
-					// into another shard's gate, so the home unlocks itself
-					// at the same instant via an uncounted cross-shard event.
-					m.sendTx(protocol.DataReply, owner, rc, tx, func() {
-						m.remoteReadDone(p, b, tx)
-					})
-					m.xat(oc, h, m.now(oc)+m.net.Latency(owner, rc), func() {
-						h.gate.Unlock(b)
-					})
-				} else {
-					m.sendTx(protocol.DataReply, owner, rc, tx, func() {
-						m.remoteReadDone(p, b, tx)
-						h.gate.Unlock(b)
-						m.checkBlock(b)
-					})
-				}
+				m.replyUnlock(protocol.DataReply, oc, h, rc, b, tx, func() {
+					m.remoteReadDone(p, b, tx)
+				})
 				m.sendTx(protocol.SharingWB, owner, h.id, tx, func() {})
 			})
 		})
@@ -563,23 +548,9 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 			m.at(oc, done, func() {
 				m.applyInval(oc, b, false)
 				m.txPhase(oc, tx, obs.PhFanout)
-				if m.shard != nil {
-					// See serveRemoteRead: the home gate unlocks via its own
-					// event at the reply's arrival instant instead of from
-					// the requester-side closure.
-					m.sendTx(protocol.OwnershipReply, owner, rc, tx, func() {
-						m.remoteWriteDone(p, b, upgrade, tx)
-					})
-					m.xat(oc, h, m.now(oc)+m.net.Latency(owner, rc), func() {
-						h.gate.Unlock(b)
-					})
-				} else {
-					m.sendTx(protocol.OwnershipReply, owner, rc, tx, func() {
-						m.remoteWriteDone(p, b, upgrade, tx)
-						h.gate.Unlock(b)
-						m.checkBlock(b)
-					})
-				}
+				m.replyUnlock(protocol.OwnershipReply, oc, h, rc, b, tx, func() {
+					m.remoteWriteDone(p, b, upgrade, tx)
+				})
 			})
 		})
 		return
@@ -609,32 +580,54 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 	m.drainDirVictims(h)
 	h.gate.Lock(b)
 	m.txPhase(h, tx, obs.PhDirWait)
-	if m.shard != nil {
-		// The requester's ack count is carried by the ownership reply (the
-		// reply strictly precedes every acknowledgement: each ack travels
-		// home->target->requester plus a bus transaction, which the
-		// degenerate-timing fallback keeps strictly longer than the direct
-		// reply), and the home unlocks its own gate at the reply's arrival
-		// instant rather than from the requester-side closure.
-		m.sendTx(protocol.OwnershipReply, h.id, rc, tx, func() {
-			p.pendingAcks += n
-			m.remoteWriteDone(p, b, upgrade, tx)
-		})
-		m.at(h, now+m.net.Latency(h.id, rc), func() {
-			h.gate.Unlock(b)
-		})
-	} else {
-		p.pendingAcks += n
-		if m.chk != nil {
-			m.chk.AckExpect(p.id, n)
+	// The ownership reply carries the requester's ack count: fault-free,
+	// the reply strictly precedes every acknowledgement (each ack travels
+	// home->target->requester plus a bus transaction, which
+	// Config.Validate keeps strictly longer than the direct reply). A
+	// delayed or retried reply can be overtaken by its acks, so under
+	// faults the count is charged at the home instead.
+	atReply := !m.faultsOn
+	if !atReply {
+		m.expectAcks(p, n)
+	}
+	m.replyUnlock(protocol.OwnershipReply, h, h, rc, b, tx, func() {
+		if atReply {
+			m.expectAcks(p, n)
 		}
-		m.sendTx(protocol.OwnershipReply, h.id, rc, tx, func() {
-			m.remoteWriteDone(p, b, upgrade, tx)
+		m.remoteWriteDone(p, b, upgrade, tx)
+	})
+	m.sendInvals(h, b, targets, p, tx)
+}
+
+// expectAcks charges n outstanding invalidation acknowledgements to p.
+func (m *Machine) expectAcks(p *proc, n int) {
+	p.pendingAcks += n
+	if m.chk != nil {
+		m.chk.AckExpect(p.id, n)
+	}
+}
+
+// replyUnlock sends the reply that completes a gated transaction at home
+// h from cluster from to requester rc, and unlocks h's gate for b when the
+// reply lands. Fault-free, the home unlocks itself at the reply's arrival
+// instant through its own event, so no cluster reaches into another's
+// gate. Under faults the reply may be delayed or retried, so the gate
+// stays locked until the reply's handler actually runs (faults run at
+// width 1, where the requester may touch the home's gate).
+func (m *Machine) replyUnlock(kind protocol.MsgKind, from, h *clusterNode, rc int, b int64, tx *txState, arrive func()) {
+	if m.faultsOn {
+		m.sendTx(kind, from.id, rc, tx, func() {
+			arrive()
 			h.gate.Unlock(b)
 			m.checkBlock(b)
 		})
+		return
 	}
-	m.sendInvals(h, b, targets, p, tx)
+	m.sendTx(kind, from.id, rc, tx, arrive)
+	m.xat(from, h, m.now(from)+m.net.Latency(from.id, rc), func() {
+		h.gate.Unlock(b)
+		m.checkBlock(b)
+	})
 }
 
 // clusterHoldsDirty reports whether any cache in c currently holds b

@@ -26,8 +26,8 @@ func runObs(t *testing.T, cfg Config, w *tango.Workload, shards int) (*Result, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards > 0 && m.Shards() == 0 {
-		t.Fatalf("shards=%d fell back to serial: %s", shards, m.FallbackReason())
+	if want := min(shards, cfg.Clusters()); m.Shards() != want {
+		t.Fatalf("shards=%d: running %d shards, want %d", shards, m.Shards(), want)
 	}
 	r, err := m.Run(w)
 	if err != nil {
@@ -120,10 +120,10 @@ func TestShardedObsNoPerturbation(t *testing.T) {
 }
 
 // TestLiveSnapshots: a run with a live slot attached publishes a final
-// Done sample carrying the run's metrics, on both cores; the sharded
+// Done sample carrying the run's metrics, at width 1 and wider; the
 // sample reports one wheel time per shard.
 func TestLiveSnapshots(t *testing.T) {
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{1, 4} {
 		cfg := testConfig(16, FullVec)
 		cfg.Seed = 4200
 		cfg.Shards = shards

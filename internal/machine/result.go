@@ -43,11 +43,9 @@ type Result struct {
 // result builds the Result from the machine's metrics-registry snapshot
 // plus the exact per-count histograms the figures need. The paper's four
 // message classes are sums of the per-kind "msg.<kind>" counters; the
-// directory aggregate reads the shared "dir.*" counters (summing the
-// per-cluster directories' Stats() would double-count, since they all
-// record into the machine registry). After a sharded run the snapshot is
-// the merge of the per-cluster registries and the histograms were folded
-// together at quiescence, so the same reads work for both cores.
+// directory aggregate reads the merged "dir.*" counters. The snapshot is
+// the merge of the per-cluster registries, and the histograms were folded
+// together at quiescence.
 func (m *Machine) result() *Result {
 	snap := m.MetricsSnapshot()
 	var msgs stats.MsgCounts
@@ -62,7 +60,7 @@ func (m *Machine) result() *Result {
 		Msgs:          msgs,
 		InvalHist:     m.invalHist,
 		ReplHist:      m.replHist,
-		Net:           m.netStats(snap),
+		Net:           netStats(snap),
 		LockRetries:   snap.Counter("lock.retries"),
 		MergedReads:   snap.Counter("rac.merged.reads"),
 		ReadLat:       m.readLat,
@@ -105,14 +103,9 @@ func (m *Machine) result() *Result {
 	return r
 }
 
-// netStats reconstructs the mesh accounting from the metrics snapshot, so
-// a sharded run (where each cluster sent through its own mesh instance)
-// reports the same machine-wide totals the serial engine reads off its
-// single mesh.
-func (m *Machine) netStats(snap obs.Snapshot) mesh.Stats {
-	if m.merged == nil {
-		return m.net.Stats()
-	}
+// netStats reconstructs the machine-wide mesh accounting from the metrics
+// snapshot: each cluster sent through its own mesh fork.
+func netStats(snap obs.Snapshot) mesh.Stats {
 	return mesh.Stats{
 		Messages: snap.Counter("mesh.msgs"),
 		Hops:     snap.Counter("mesh.hops"),

@@ -2,12 +2,13 @@ package machine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
+	"dircoh/internal/mesh"
 	"dircoh/internal/obs"
 	"dircoh/internal/sparse"
 	"dircoh/internal/tango"
@@ -56,8 +57,8 @@ func runSharded(t *testing.T, cfg Config, w *tango.Workload, shards int) (*Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards > 0 && m.Shards() == 0 {
-		t.Fatalf("shards=%d fell back to serial: %s", shards, m.FallbackReason())
+	if want := min(shards, cfg.Clusters()); m.Shards() != want {
+		t.Fatalf("shards=%d: running %d shards, want %d", shards, m.Shards(), want)
 	}
 	r, err := m.Run(w)
 	if err != nil {
@@ -127,8 +128,8 @@ func TestShardedWidthIndependence(t *testing.T) {
 }
 
 // TestShardedFigureWorkloadDeterminism repeats a sharded run and demands
-// bit-identical results — the same run-to-run determinism the serial
-// engine guarantees, now with goroutines in the loop.
+// bit-identical results — run-to-run determinism with goroutines in the
+// loop.
 func TestShardedFigureWorkloadDeterminism(t *testing.T) {
 	cfg := testConfig(32, CoarseVec2)
 	cfg.Seed = 7
@@ -161,40 +162,49 @@ func TestShardedSingleCluster(t *testing.T) {
 	}
 }
 
-// TestShardedFallbackReasons: every configuration the sharded core cannot
-// honor must fall back to the serial engine with a reason naming the
-// offending flag and a workaround — and observability features, which the
-// core now shards, must NOT fall back.
-func TestShardedFallbackReasons(t *testing.T) {
+// TestWidthCappedFeatures: the checker, fault injection, mesh port
+// contention and deliberate protocol faults run at width 1 whatever width
+// is requested, and since 0 and 1 both mean one worker the results are
+// identical at requested widths 0, 1 and 2. Observability features and a
+// plain config shard as requested, and the degenerate timing the protocol
+// cannot order is a typed Validate error.
+func TestWidthCappedFeatures(t *testing.T) {
 	mk := func(mut func(*Config)) Config {
 		cfg := testConfig(4, FullVec)
-		cfg.Shards = 2
+		cfg.Seed = 41
 		mut(&cfg)
 		return cfg
 	}
-	blocked := map[string]Config{
+	w := stressWorkload(41, 4, 120, 24, true)
+	capped := map[string]Config{
 		"checker":  mk(func(c *Config) { c.Check = true }),
+		"faults":   mk(func(c *Config) { c.Mesh.Faults = mesh.FaultConfig{Drop: 0.02, Dup: 0.02, DelayP: 0.1, DelayMax: 50} }),
 		"porttime": mk(func(c *Config) { c.Mesh.PortTime = 2 }),
-		"fault":    mk(func(c *Config) { c.Fault = FaultDropInval }),
+		"fault":    mk(func(c *Config) { c.Check, c.Fault = true, FaultDropInval }),
 	}
-	for name, cfg := range blocked {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Shards() != 0 {
-			t.Errorf("%s: expected serial fallback, running with %d shards", name, m.Shards())
-		}
-		reason := m.FallbackReason()
-		if reason == "" {
-			t.Errorf("%s: fallback with no reason", name)
-		}
-		if !strings.Contains(reason, "-shards 0") {
-			t.Errorf("%s: reason %q names no workaround", name, reason)
+	for name, cfg := range capped {
+		var base *Result
+		for _, shards := range []int{0, 1, 2} {
+			cfg.Shards = shards
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if m.Shards() != 1 {
+				t.Errorf("%s: requested %d shards, running %d, want 1", name, shards, m.Shards())
+			}
+			r, err := m.Run(w)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", name, shards, err)
+			}
+			if base == nil {
+				base = r
+			} else if !reflect.DeepEqual(base, r) {
+				t.Errorf("%s: shards=%d result differs from shards=0:\n  0: %s\n  %d: %s",
+					name, shards, base.Summary(), shards, r.Summary())
+			}
 		}
 	}
-	// Observability configurations shard (the whole point of the per-shard
-	// recording cells), as does a plain sharded config.
 	sharded := map[string]Config{
 		"clean":    mk(func(*Config) {}),
 		"trace":    mk(func(c *Config) { c.Trace = obs.NewTracer(obs.Discard, 0) }),
@@ -203,19 +213,28 @@ func TestShardedFallbackReasons(t *testing.T) {
 		"metrics":  mk(func(c *Config) { c.Metrics = obs.NewRegistry() }),
 	}
 	for name, cfg := range sharded {
+		cfg.Shards = 2
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if m.Shards() != 2 || m.FallbackReason() != "" {
-			t.Errorf("%s: Shards()=%d reason=%q, want a 2-shard run", name, m.Shards(), m.FallbackReason())
+		if m.Shards() != 2 {
+			t.Errorf("%s: Shards()=%d, want a 2-shard run", name, m.Shards())
 		}
+	}
+	degenerate := mk(func(c *Config) {
+		c.Timing.InvalBus = 0
+		c.Mesh = mesh.Config{Base: 0, PerHop: 2}
+	})
+	var te *TimingError
+	if _, err := New(degenerate); !errors.As(err, &te) {
+		t.Fatalf("degenerate timing: New returned %v, want a *TimingError", err)
 	}
 }
 
 // TestShardedWatchdog: the deterministic sharded watchdog must abort a
-// wedged run (a processor waiting on a lock that is never released) the
-// same way the serial one does, with a diagnostic dump.
+// wedged run (a processor waiting on a lock that is never released) at
+// width 2 as it does at width 1, with a diagnostic dump.
 func TestShardedWatchdog(t *testing.T) {
 	cfg := testConfig(2, FullVec)
 	cfg.Shards = 2

@@ -87,14 +87,8 @@ func New(cfg Config) *Mesh {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	m := &Mesh{
-		cfg: cfg, w: w, h: h,
-		msgs:     reg.Counter("mesh.msgs"),
-		hops:     reg.Counter("mesh.hops"),
-		maxHop:   reg.Gauge("mesh.maxhops"),
-		stalls:   reg.Counter("mesh.stalls"),
-		portFree: make([]sim.Time, cfg.Nodes),
-	}
+	m := &Mesh{cfg: cfg, w: w, h: h, portFree: make([]sim.Time, cfg.Nodes)}
+	m.register(reg)
 	if cfg.Faults.Enabled() {
 		// The fault counters are registered only when the model is on, so
 		// a faults-off run's metrics output is byte-identical to a build
@@ -109,6 +103,25 @@ func New(cfg Config) *Mesh {
 		}
 	}
 	return m
+}
+
+// register resolves the traffic counters in reg.
+func (m *Mesh) register(reg *obs.Registry) {
+	m.msgs = reg.Counter("mesh.msgs")
+	m.hops = reg.Counter("mesh.hops")
+	m.maxHop = reg.Gauge("mesh.maxhops")
+	m.stalls = reg.Counter("mesh.stalls")
+}
+
+// Fork returns a mesh sharing m's geometry, latency model, ejection-port
+// table and fault state that records its traffic counters into reg. Forks
+// let every sender keep single-writer accounting while ejection-port
+// contention stays one table for the whole network; a fork must be driven
+// from the same goroutine as m whenever PortTime is nonzero.
+func (m *Mesh) Fork(reg *obs.Registry) *Mesh {
+	f := *m
+	f.register(reg)
+	return &f
 }
 
 // Dims returns the mesh width and height.
@@ -143,6 +156,16 @@ func (m *Mesh) Hops(a, b int) int {
 // recording it.
 func (m *Mesh) Latency(a, b int) sim.Time {
 	return m.cfg.Base + sim.Time(m.Hops(a, b))*m.cfg.PerHop
+}
+
+// MinLatency returns the smallest transit time between two distinct
+// endpoints, Base+PerHop (a one-hop neighbor), and false when the mesh has
+// a single endpoint and so no cross-node route at all.
+func (m *Mesh) MinLatency() (sim.Time, bool) {
+	if m.cfg.Nodes < 2 {
+		return 0, false
+	}
+	return m.cfg.Base + m.cfg.PerHop, true
 }
 
 // Send records one message from a to b and returns its transit time.

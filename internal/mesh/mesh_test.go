@@ -3,6 +3,8 @@ package mesh
 import (
 	"testing"
 	"testing/quick"
+
+	"dircoh/internal/obs"
 )
 
 func TestDims(t *testing.T) {
@@ -125,6 +127,41 @@ func TestSendAtPortContention(t *testing.T) {
 	// After the burst drains, delivery is latency-bound again.
 	if got := m.SendAt(1000, 0, 1); got != 1012 {
 		t.Fatalf("post-burst = %d, want 1012", got)
+	}
+}
+
+// TestMinLatencyMatchesBruteForce checks MinLatency against the minimum
+// over every ordered pair of distinct endpoints, on square, non-square and
+// single-node meshes.
+func TestMinLatencyMatchesBruteForce(t *testing.T) {
+	for _, nodes := range []int{1, 2, 3, 4, 12, 15, 16, 30, 64} {
+		m := New(Config{Nodes: nodes, Base: 7, PerHop: 3})
+		want, found := ^uint64(0), false
+		for a := 0; a < nodes; a++ {
+			for b := 0; b < nodes; b++ {
+				if a != b && m.Latency(a, b) < want {
+					want, found = m.Latency(a, b), true
+				}
+			}
+		}
+		got, ok := m.MinLatency()
+		if ok != found || (ok && got != want) {
+			t.Errorf("nodes=%d: MinLatency = (%d, %v), brute force (%d, %v)", nodes, got, ok, want, found)
+		}
+	}
+}
+
+// TestForkSharesPorts: a fork counts its own traffic but queues behind the
+// parent's ejection-port bookings.
+func TestForkSharesPorts(t *testing.T) {
+	m := New(Config{Nodes: 4, Base: 10, PerHop: 2, PortTime: 5})
+	f := m.Fork(obs.NewRegistry())
+	first := m.SendAt(100, 0, 1)
+	if second := f.SendAt(100, 2, 1); second != first+5 {
+		t.Fatalf("fork delivery = %d, want %d (queued behind the parent's booking)", second, first+5)
+	}
+	if m.Stats().Messages != 1 || f.Stats().Messages != 1 || f.Stats().Stalls != 1 {
+		t.Fatalf("parent %+v, fork %+v: want one message each, the stall on the fork", m.Stats(), f.Stats())
 	}
 }
 

@@ -1,39 +1,9 @@
 package sim
 
-// Scheduler is the discrete-event scheduling interface the simulator cores
-// program against. The heap Engine (the serial default) and the timing
-// Wheel (the sharded machine core's per-shard calendar) are interchangeable
-// behind it.
-type Scheduler interface {
-	// Now returns the current simulation time.
-	Now() Time
-	// At schedules fn at absolute time t; scheduling in the past panics.
-	At(t Time, fn Event)
-	// After schedules fn delay cycles from now; overflowing Time panics.
-	After(delay Time, fn Event)
-	// Step fires the next event, advancing time to it, and reports
-	// whether an event was fired.
-	Step() bool
-	// Run fires events until none remain and returns the final time.
-	Run() Time
-	// RunUntil fires events with timestamps <= deadline (including events
-	// an in-flight callback schedules at or before it) and returns true
-	// if the queue drained, false if the deadline stopped it.
-	RunUntil(deadline Time) bool
-	// Fired returns the number of events executed so far.
-	Fired() uint64
-	// Pending returns the number of scheduled-but-unfired events.
-	Pending() int
-}
-
-var (
-	_ Scheduler = (*Engine)(nil)
-	_ Scheduler = (*Wheel)(nil)
-)
-
-// DefaultWheelSlots is the wheel size NewWheel(0) selects: large enough
-// that every intra-machine latency (bus, directory, mesh transit) lands in
-// a slot, small enough to scan cheaply when jumping idle gaps.
+// DefaultWheelSlots is the wheel size NewEngine(0) and the zero Engine
+// use: large enough that every intra-machine latency (bus, directory, mesh
+// transit) lands in a slot, small enough to scan cheaply when jumping idle
+// gaps.
 const DefaultWheelSlots = 256
 
 // witem is one scheduled event. Events are totally ordered by (at, key):
@@ -93,17 +63,19 @@ func wpop(h []witem) (witem, []witem) {
 	return top, h
 }
 
-// Wheel is a timing-wheel scheduler: events within the wheel's horizon hash
-// into per-cycle slots (each slot a tiny heap), events beyond it wait in an
-// overflow heap and migrate in as time advances. Scheduling and firing are
-// O(log k) in the events sharing a timestamp, with no global heap, and
-// idle gaps are jumped by scanning at most one wheel revolution.
+// Engine is a timing-wheel discrete-event scheduler: events within the
+// wheel's horizon hash into per-cycle slots (each slot a tiny heap), events
+// beyond it wait in an overflow heap and migrate in as time advances.
+// Scheduling and firing are O(log k) in the events sharing a timestamp,
+// with no global heap, and idle gaps are jumped by scanning at most one
+// wheel revolution.
 //
-// Like the Engine, a Wheel fires equal-time events in insertion order when
-// scheduled with At. AtKey additionally lets the caller impose an explicit
-// total order on equal-time events — the hook the sharded machine core uses
-// to make event order independent of which shard scheduled what first.
-type Wheel struct {
+// An Engine fires equal-time events in insertion order when scheduled with
+// At. AtKey additionally lets the caller impose an explicit total order on
+// equal-time events — the hook the machine core uses to make event order
+// independent of which shard scheduled what first. The zero value is ready
+// to use, with DefaultWheelSlots slots.
+type Engine struct {
 	slots  [][]witem // per-cycle buckets, each a (at,key) min-heap
 	mask   Time
 	now    Time
@@ -114,38 +86,38 @@ type Wheel struct {
 	curKey uint64 // ordering key of the event currently firing
 }
 
-// NewWheel returns a wheel with the given slot count (a power of two;
-// 0 selects DefaultWheelSlots).
-func NewWheel(slots int) *Wheel {
+// NewEngine returns an engine with the given wheel slot count (a power of
+// two; 0 selects DefaultWheelSlots).
+func NewEngine(slots int) *Engine {
 	if slots <= 0 {
 		slots = DefaultWheelSlots
 	}
 	if slots&(slots-1) != 0 {
 		panic("sim: wheel slot count must be a power of two")
 	}
-	return &Wheel{slots: make([][]witem, slots), mask: Time(slots - 1)}
+	return &Engine{slots: make([][]witem, slots), mask: Time(slots - 1)}
 }
 
 // Now returns the current simulation time.
-func (w *Wheel) Now() Time { return w.now }
+func (w *Engine) Now() Time { return w.now }
 
 // Fired returns the number of events executed so far.
-func (w *Wheel) Fired() uint64 { return w.fired }
+func (w *Engine) Fired() uint64 { return w.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
-func (w *Wheel) Pending() int { return w.inSlot + len(w.over) }
+func (w *Engine) Pending() int { return w.inSlot + len(w.over) }
 
 // FiringKey returns the ordering key of the event currently being fired.
 // Together with Now it identifies the firing event's position in the
-// wheel's total (time, key) order — the stamp the sharded machine core
+// engine's total (time, key) order — the stamp the sharded machine core
 // attaches to observability records so per-shard buffers merge back into
 // the canonical global order. Outside a callback it returns the key of
 // the most recently fired event (0 before the first).
-func (w *Wheel) FiringKey() uint64 { return w.curKey }
+func (w *Engine) FiringKey() uint64 { return w.curKey }
 
 // At schedules fn at absolute time t. Equal-time events scheduled with At
 // fire in insertion order. Scheduling in the past panics.
-func (w *Wheel) At(t Time, fn Event) {
+func (w *Engine) At(t Time, fn Event) {
 	w.auto++
 	w.insert(witem{at: t, key: w.auto, fn: fn})
 }
@@ -155,14 +127,14 @@ func (w *Wheel) At(t Time, fn Event) {
 // were inserted in. Callers must keep keys unique per timestamp (the
 // sharded machine core derives them from the scheduling cluster and its
 // event sequence). Keys share one space with At's insertion sequence, so a
-// caller should use either At or AtKey on a wheel, not both.
-func (w *Wheel) AtKey(t Time, key uint64, fn Event) {
+// caller should use either At or AtKey on an engine, not both.
+func (w *Engine) AtKey(t Time, key uint64, fn Event) {
 	w.insert(witem{at: t, key: key, fn: fn})
 }
 
 // After schedules fn to run delay cycles from now. A delay that would
 // overflow Time panics: wrapping would silently schedule in the past.
-func (w *Wheel) After(delay Time, fn Event) {
+func (w *Engine) After(delay Time, fn Event) {
 	t := w.now + delay
 	if t < w.now {
 		panic("sim: After overflows sim.Time")
@@ -170,9 +142,14 @@ func (w *Wheel) After(delay Time, fn Event) {
 	w.At(t, fn)
 }
 
-func (w *Wheel) insert(it witem) {
+func (w *Engine) insert(it witem) {
 	if it.at < w.now {
 		panic("sim: scheduling event in the past")
+	}
+	if w.slots == nil {
+		// The zero Engine: allocate the default wheel on first use.
+		w.slots = make([][]witem, DefaultWheelSlots)
+		w.mask = DefaultWheelSlots - 1
 	}
 	if it.at-w.now >= Time(len(w.slots)) {
 		w.over = wpush(w.over, it)
@@ -185,7 +162,7 @@ func (w *Wheel) insert(it witem) {
 
 // migrate moves overflow events that have come inside the horizon into
 // their slots.
-func (w *Wheel) migrate() {
+func (w *Engine) migrate() {
 	horizon := Time(len(w.slots))
 	for len(w.over) > 0 && w.over[0].at-w.now < horizon {
 		var it witem
@@ -197,7 +174,7 @@ func (w *Wheel) migrate() {
 }
 
 // NextTime returns the earliest pending event time.
-func (w *Wheel) NextTime() (Time, bool) {
+func (w *Engine) NextTime() (Time, bool) {
 	w.migrate()
 	if w.inSlot > 0 {
 		// Every bucketed event is within one revolution of now, so the
@@ -216,7 +193,7 @@ func (w *Wheel) NextTime() (Time, bool) {
 
 // Step fires the next event, advancing time to it. It reports whether an
 // event was fired.
-func (w *Wheel) Step() bool {
+func (w *Engine) Step() bool {
 	t, ok := w.NextTime()
 	if !ok {
 		return false
@@ -226,7 +203,7 @@ func (w *Wheel) Step() bool {
 }
 
 // fire advances to t and runs the minimum-key event scheduled there.
-func (w *Wheel) fire(t Time) {
+func (w *Engine) fire(t Time) {
 	if t > w.now {
 		w.now = t
 		// Advancing may bring overflow events to exactly t with smaller
@@ -243,7 +220,7 @@ func (w *Wheel) fire(t Time) {
 }
 
 // Run fires events until none remain and returns the final time.
-func (w *Wheel) Run() Time {
+func (w *Engine) Run() Time {
 	for w.Step() {
 	}
 	return w.now
@@ -252,7 +229,7 @@ func (w *Wheel) Run() Time {
 // RunUntil fires events with timestamps <= deadline (events an in-flight
 // callback schedules at or before the deadline are also fired). It returns
 // true if the queue drained, false if the deadline stopped it.
-func (w *Wheel) RunUntil(deadline Time) bool {
+func (w *Engine) RunUntil(deadline Time) bool {
 	for {
 		t, ok := w.NextTime()
 		if !ok {

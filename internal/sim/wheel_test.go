@@ -1,17 +1,63 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// TestWheelMatchesEngine cross-checks the wheel against the heap engine on
-// a randomized schedule, including events that schedule further events:
-// both must fire the same callbacks in the same order at the same times.
+// refItem and refHeap are a plain container/heap scheduler ordered by
+// (time, insertion sequence): the reference the wheel is checked against.
+type refItem struct {
+	at  Time
+	seq uint64
+	fn  Event
+}
+
+type refHeap []refItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any     { old := *h; it := old[len(old)-1]; *h = old[:len(old)-1]; return it }
+
+// refSched is the reference scheduler: the subset of Engine's API the
+// oracle test drives.
+type refSched struct {
+	now Time
+	seq uint64
+	h   refHeap
+}
+
+func (r *refSched) After(d Time, fn Event) {
+	r.seq++
+	heap.Push(&r.h, refItem{at: r.now + d, seq: r.seq, fn: fn})
+}
+
+func (r *refSched) Run() Time {
+	for r.h.Len() > 0 {
+		it := heap.Pop(&r.h).(refItem)
+		r.now = it.at
+		it.fn()
+	}
+	return r.now
+}
+
+// TestWheelMatchesEngine cross-checks the wheel Engine against the
+// container/heap reference on a randomized schedule, including events that
+// schedule further events: both must fire the same callbacks in the same
+// order at the same times.
 func TestWheelMatchesEngine(t *testing.T) {
-	run := func(s Scheduler) []int {
+	type sched interface {
+		After(Time, Event)
+		Run() Time
+	}
+	run := func(s sched) []int {
 		var order []int
 		rng := rand.New(rand.NewSource(42))
 		id := 0
@@ -37,10 +83,13 @@ func TestWheelMatchesEngine(t *testing.T) {
 		s.Run()
 		return order
 	}
-	eng := run(&Engine{})
-	whl := run(NewWheel(64))
-	if !reflect.DeepEqual(eng, whl) {
-		t.Fatalf("firing order diverged:\nengine: %v\nwheel:  %v", eng, whl)
+	var e Engine
+	ref := run(&refSched{})
+	for _, s := range []*Engine{&e, NewEngine(64)} {
+		got := run(s)
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("firing order diverged:\nreference: %v\nwheel:     %v", ref, got)
+		}
 	}
 }
 
@@ -49,7 +98,7 @@ func TestWheelMatchesEngine(t *testing.T) {
 // heap (scheduled beyond the horizon), one bucketed directly later. The
 // smaller key must fire first even though it was inserted second.
 func TestWheelTieBreakAcrossBuckets(t *testing.T) {
-	w := NewWheel(8)
+	w := NewEngine(8)
 	var order []string
 	w.AtKey(9, 2, func() { order = append(order, "overflow") }) // 9-0 >= 8: overflow heap
 	w.AtKey(5, 1, func() {
@@ -78,7 +127,7 @@ func TestWheelKeyOrderInsertionIndependent(t *testing.T) {
 	evs := []ev{{20, 7}, {20, 3}, {5, 1}, {300, 2}, {300, 9}, {20, 5}, {5, 4}}
 	var first []ev
 	for perm := 0; perm < 3; perm++ {
-		w := NewWheel(16)
+		w := NewEngine(16)
 		var got []ev
 		for i := range evs {
 			e := evs[(i+perm*3)%len(evs)]
@@ -104,9 +153,9 @@ func TestWheelKeyOrderInsertionIndependent(t *testing.T) {
 // TestWheelRunUntilExactDeadline exercises RunUntil with an event exactly
 // at the deadline, including an in-flight callback that schedules another
 // event at the deadline itself: both must fire, the later event must not,
-// and the engine must agree.
+// on both the zero Engine and a small explicit wheel.
 func TestWheelRunUntilExactDeadline(t *testing.T) {
-	for _, s := range []Scheduler{&Engine{}, NewWheel(8)} {
+	for i, s := range []*Engine{{}, NewEngine(8)} {
 		var fired []string
 		s.At(5, func() { fired = append(fired, "early") })
 		s.At(10, func() {
@@ -115,62 +164,64 @@ func TestWheelRunUntilExactDeadline(t *testing.T) {
 		})
 		s.At(11, func() { fired = append(fired, "late") })
 		if s.RunUntil(10) {
-			t.Fatalf("%T: RunUntil(10) drained, event at 11 still pending", s)
+			t.Fatalf("engine %d: RunUntil(10) drained, event at 11 still pending", i)
 		}
 		want := []string{"early", "deadline", "inflight"}
 		if !reflect.DeepEqual(fired, want) {
-			t.Fatalf("%T: fired %v, want %v", s, fired, want)
+			t.Fatalf("engine %d: fired %v, want %v", i, fired, want)
 		}
 		if s.Now() != 10 {
-			t.Fatalf("%T: Now() = %d after RunUntil(10), want 10", s, s.Now())
+			t.Fatalf("engine %d: Now() = %d after RunUntil(10), want 10", i, s.Now())
 		}
 		if s.Pending() != 1 {
-			t.Fatalf("%T: %d events pending, want 1", s, s.Pending())
+			t.Fatalf("engine %d: %d events pending, want 1", i, s.Pending())
 		}
 		if !s.RunUntil(11) {
-			t.Fatalf("%T: RunUntil(11) did not drain", s)
+			t.Fatalf("engine %d: RunUntil(11) did not drain", i)
 		}
 		if fired[len(fired)-1] != "late" {
-			t.Fatalf("%T: event at 11 never fired: %v", s, fired)
+			t.Fatalf("engine %d: event at 11 never fired: %v", i, fired)
 		}
 	}
 }
 
 // TestAfterOverflow pins the behavior of After near the top of the Time
-// range for both schedulers: a delay that still fits schedules normally, a
-// delay that wraps panics instead of corrupting causality.
+// range, on both the zero Engine and a small explicit wheel: a delay that
+// still fits schedules normally, a delay that wraps panics instead of
+// corrupting causality.
 func TestAfterOverflow(t *testing.T) {
 	const high = Time(math.MaxUint64) - 10
-	for _, s := range []Scheduler{&Engine{}, NewWheel(8)} {
+	for i, s := range []*Engine{{}, NewEngine(8)} {
 		s.At(high, func() {})
 		s.Step() // now = MaxUint64-10
 		if s.Now() != high {
-			t.Fatalf("%T: Now() = %d, want %d", s, s.Now(), high)
+			t.Fatalf("engine %d: Now() = %d, want %d", i, s.Now(), high)
 		}
 		ran := false
 		s.After(10, func() { ran = true }) // lands exactly on MaxUint64
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%T: After(11) near MaxUint64 did not panic", s)
+					t.Fatalf("engine %d: After(11) near MaxUint64 did not panic", i)
 				}
 			}()
 			s.After(11, func() {})
 		}()
 		s.Run()
 		if !ran {
-			t.Fatalf("%T: event at MaxUint64 never fired", s)
+			t.Fatalf("engine %d: event at MaxUint64 never fired", i)
 		}
 		if s.Now() != math.MaxUint64 {
-			t.Fatalf("%T: final time %d, want MaxUint64", s, s.Now())
+			t.Fatalf("engine %d: final time %d, want MaxUint64", i, s.Now())
 		}
 	}
 }
 
-// TestWheelPastPanics matches the engine's contract for scheduling behind
-// the current time.
+// TestWheelPastPanics pins the contract for scheduling behind the current
+// time on an explicitly sized wheel (TestSchedulingPastPanics covers the
+// zero Engine).
 func TestWheelPastPanics(t *testing.T) {
-	w := NewWheel(8)
+	w := NewEngine(8)
 	w.At(5, func() {})
 	w.Step()
 	defer func() {
@@ -181,15 +232,13 @@ func TestWheelPastPanics(t *testing.T) {
 	w.At(3, func() {})
 }
 
-func BenchmarkEngineChurn(b *testing.B) { benchChurn(b, func() Scheduler { return &Engine{} }) }
-func BenchmarkWheelChurn(b *testing.B)  { benchChurn(b, func() Scheduler { return NewWheel(0) }) }
-
-// benchChurn models the machine's event pattern: each fired event schedules
-// a successor a short latency ahead, over a population of concurrent chains.
-func benchChurn(b *testing.B, mk func() Scheduler) {
+// BenchmarkEngineChurn models the machine's event pattern: each fired
+// event schedules a successor a short latency ahead, over a population of
+// concurrent chains.
+func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := mk()
+		s := &Engine{}
 		remaining := 200_000
 		var chain func()
 		chain = func() {
