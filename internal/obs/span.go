@@ -229,11 +229,10 @@ func (s *JSONLSink) WriteSpans(batch []Span) error {
 // disabled state: call sites guard emission with a nil test, so span
 // tracing that is off costs one branch.
 type SpanRecorder struct {
-	ring   []Span
-	n      int
-	sink   SpanSink
-	err    error // sticky first sink error
-	nextID uint64
+	ring []Span
+	n    int
+	sink SpanSink
+	err  error // sticky first sink error
 }
 
 // NewSpanRecorder returns a recorder writing to sink. ringCap <= 0 selects
@@ -248,17 +247,13 @@ func NewSpanRecorder(sink SpanSink, ringCap int) *SpanRecorder {
 	return &SpanRecorder{ring: make([]Span, ringCap), sink: sink}
 }
 
-// NextID allocates a span ID. IDs start at 1 so that Parent == 0 always
-// means "root".
-func (r *SpanRecorder) NextID() uint64 {
-	r.nextID++
-	return r.nextID
-}
-
 // Emit records one finished span. It never allocates; when the ring fills
 // the pending batch is handed to the sink and the ring restarts.
 func (r *SpanRecorder) Emit(s Span) {
-	r.ring[r.n] = s
+	// Field by field, for the store-forwarding reason Tracer.Emit gives.
+	e := &r.ring[r.n]
+	e.Tx, e.ID, e.Parent, e.Class, e.Phase = s.Tx, s.ID, s.Parent, s.Class, s.Phase
+	e.Node, e.Block, e.Start, e.End, e.N = s.Node, s.Block, s.Start, s.End, s.N
 	r.n++
 	if r.n == len(r.ring) {
 		r.flush()

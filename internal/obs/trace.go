@@ -258,9 +258,13 @@ func NewTracer(sink Sink, ringCap int) *Tracer {
 }
 
 // Emit records one event. It never allocates; when the ring fills the
-// pending batch is handed to the sink and the ring restarts.
+// pending batch is handed to the sink and the ring restarts. The copy is
+// field by field: callers build ev on the stack with mixed-width stores,
+// and a whole-struct vector copy would load across them, stalling store
+// forwarding on every event.
 func (t *Tracer) Emit(ev Event) {
-	t.ring[t.n] = ev
+	e := &t.ring[t.n]
+	e.T, e.Node, e.Kind, e.Block, e.Arg = ev.T, ev.Node, ev.Kind, ev.Block, ev.Arg
 	t.n++
 	if t.n == len(t.ring) {
 		t.flush()
