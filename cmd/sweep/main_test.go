@@ -58,13 +58,10 @@ func TestSweepGoldenScale(t *testing.T) {
 }
 
 // TestSweepGoldenScaleSim locks the simulated beyond-64 figure: the scale
-// probe at 256, 1024 and 4096 clusters under the full roster. The largest
-// cell simulates a 4096-cluster machine, so the test is skipped in short
-// mode (it is the bulk of this package's non-short runtime).
+// probe at 256, 1024 and 4096 clusters under the full roster. Caches
+// allocate storage only for the sets a run touches, so even the
+// 4096-cluster cell is cheap enough to run in short mode.
 func TestSweepGoldenScaleSim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates 256-4096 cluster machines")
-	}
 	var buf bytes.Buffer
 	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, "scale-sim", 8, 1)
 	checkGolden(t, "sweep_scale_sim.golden", buf.Bytes())

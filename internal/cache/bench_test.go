@@ -22,3 +22,13 @@ func BenchmarkHierarchyMissFill(b *testing.B) {
 		}
 	}
 }
+
+var hierarchySink *Hierarchy
+
+func BenchmarkNewHierarchy(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hierarchySink = NewHierarchy(cfg)
+	}
+}

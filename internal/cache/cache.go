@@ -35,18 +35,26 @@ func (s State) String() string {
 	}
 }
 
+// line is one cache way. Fields run widest first so a line packs into
+// 24 bytes.
 type line struct {
-	valid   bool
 	block   int64
-	state   State
 	lastUse uint64
+	valid   bool
+	state   State
 }
+
+// pageSets is the number of consecutive sets stored together in one
+// page. A page is allocated on the first Fill into any of its sets, so
+// a cache's memory grows with the sets a run touches rather than with
+// its capacity.
+const pageSets = 128
 
 // Cache is a single set-associative cache level.
 type Cache struct {
 	sets  int
 	assoc int
-	lines []line
+	pages [][]line // pageSets*assoc lines each (the last may be short); nil until first filled
 }
 
 // GeometryError reports an impossible cache geometry — the typed form of
@@ -93,22 +101,33 @@ func NewCache(sizeBytes, blockBytes, assoc int) *Cache {
 	if nlines == 0 || nlines%assoc != 0 {
 		panic(fmt.Sprintf("cache: %d bytes / %d-byte blocks not divisible into %d-way sets", sizeBytes, blockBytes, assoc))
 	}
-	return &Cache{sets: nlines / assoc, assoc: assoc, lines: make([]line, nlines)}
+	sets := nlines / assoc
+	return &Cache{sets: sets, assoc: assoc, pages: make([][]line, (sets+pageSets-1)/pageSets)}
 }
 
 // Lines returns the total number of cache lines.
-func (c *Cache) Lines() int { return len(c.lines) }
+func (c *Cache) Lines() int { return c.sets * c.assoc }
 
-func (c *Cache) set(block int64) []line {
+// fillSet returns block's set, allocating its page on first use.
+func (c *Cache) fillSet(block int64) []line {
 	si := int(uint64(block) % uint64(c.sets))
-	return c.lines[si*c.assoc : (si+1)*c.assoc]
+	pi := si / pageSets
+	if c.pages[pi] == nil {
+		c.pages[pi] = make([]line, min(pageSets, c.sets-pi*pageSets)*c.assoc)
+	}
+	off := (si % pageSets) * c.assoc
+	return c.pages[pi][off : off+c.assoc]
 }
 
 func (c *Cache) find(block int64) *line {
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].block == block {
-			return &set[i]
+	si := uint(uint64(block) % uint64(c.sets))
+	page := c.pages[si/pageSets]
+	// An unfilled page is nil, so the loop never runs. (The loop indexes
+	// the page directly, not a set slice, to keep find inlinable.)
+	off := int(si%pageSets) * c.assoc
+	for i := off; i < off+c.assoc && i < len(page); i++ {
+		if page[i].valid && page[i].block == block {
+			return &page[i]
 		}
 	}
 	return nil
@@ -150,17 +169,17 @@ type Victim struct {
 // needed, and returns the displaced victim (Victim.Valid false if a free
 // way was used). Filling an already-present block just updates its state.
 func (c *Cache) Fill(block int64, st State, now uint64) Victim {
-	if l := c.find(block); l != nil {
-		l.state = st
-		l.lastUse = now
-		return Victim{}
-	}
-	set := c.set(block)
+	set := c.fillSet(block)
 	vi := -1
 	for i := range set {
 		if !set[i].valid {
-			vi = i
-			break
+			if vi < 0 {
+				vi = i
+			}
+		} else if set[i].block == block {
+			set[i].state = st
+			set[i].lastUse = now
+			return Victim{}
 		}
 	}
 	var v Victim
@@ -195,11 +214,14 @@ func (c *Cache) Downgrade(block int64) (wasDirty bool) {
 	return false
 }
 
-// ForEach calls fn for every valid line (used by coherence validators).
+// ForEach calls fn for every valid line in set order (used by coherence
+// validators).
 func (c *Cache) ForEach(fn func(block int64, st State)) {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			fn(c.lines[i].block, c.lines[i].state)
+	for _, page := range c.pages {
+		for i := range page {
+			if page[i].valid {
+				fn(page[i].block, page[i].state)
+			}
 		}
 	}
 }
@@ -207,10 +229,6 @@ func (c *Cache) ForEach(fn func(block int64, st State)) {
 // Occupancy returns the number of valid lines (for tests).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
+	c.ForEach(func(int64, State) { n++ })
 	return n
 }

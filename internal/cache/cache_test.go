@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache { return NewCache(64, 16, 2) } // 4 lines, 2 sets of 2
@@ -290,5 +294,194 @@ func TestQuickInclusion(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flatCache is the oracle for the paged Cache: the original flat-array
+// implementation, every line allocated up front.
+type flatCache struct {
+	sets, assoc int
+	lines       []line
+}
+
+func newFlat(sets, assoc int) *flatCache {
+	return &flatCache{sets: sets, assoc: assoc, lines: make([]line, sets*assoc)}
+}
+
+func (c *flatCache) set(block int64) []line {
+	si := int(uint64(block) % uint64(c.sets))
+	return c.lines[si*c.assoc : (si+1)*c.assoc]
+}
+
+func (c *flatCache) find(block int64) *line {
+	set := c.set(block)
+	for i := range set {
+		if set[i].valid && set[i].block == block {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (c *flatCache) fill(block int64, st State, now uint64) Victim {
+	if l := c.find(block); l != nil {
+		l.state, l.lastUse = st, now
+		return Victim{}
+	}
+	set := c.set(block)
+	vi := -1
+	for i := range set {
+		if !set[i].valid {
+			vi = i
+			break
+		}
+	}
+	var v Victim
+	if vi < 0 {
+		vi = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].lastUse < set[vi].lastUse {
+				vi = i
+			}
+		}
+		v = Victim{Valid: true, Block: set[vi].block, Dirty: set[vi].state == Dirty}
+	}
+	set[vi] = line{valid: true, block: block, state: st, lastUse: now}
+	return v
+}
+
+type entry struct {
+	block int64
+	st    State
+}
+
+func contents(forEach func(func(int64, State))) []entry {
+	var out []entry
+	forEach(func(b int64, st State) { out = append(out, entry{b, st}) })
+	return out
+}
+
+func (c *flatCache) forEach(fn func(int64, State)) {
+	for _, l := range c.lines {
+		if l.valid {
+			fn(l.block, l.state)
+		}
+	}
+}
+
+// TestQuickPagedMatchesFlat drives the paged Cache and the flat oracle
+// with the same random Fill/Touch/SetState/Invalidate/Downgrade stream
+// and requires identical states, victims, ForEach contents (in order)
+// and occupancy, across associativities 1-4 and set counts below, equal
+// to, and not a multiple of the page size.
+func TestQuickPagedMatchesFlat(t *testing.T) {
+	for _, assoc := range []int{1, 2, 3, 4} {
+		for _, sets := range []int{1, 5, pageSets, pageSets + 7, 2*pageSets + 1, 3 * pageSets} {
+			t.Run(fmt.Sprintf("assoc%d/sets%d", assoc, sets), func(t *testing.T) {
+				f := func(ops []uint32) bool {
+					c, ref := NewCache(sets*assoc*16, 16, assoc), newFlat(sets, assoc)
+					span := uint32(3 * sets * assoc)
+					for i, op := range ops {
+						b, now := int64(op>>3%span), uint64(i/3) // ties exercise the LRU tie-break
+						st := State(1 + op>>2&1)
+						switch op & 7 {
+						case 0, 1, 2:
+							if got, want := c.Fill(b, st, now), ref.fill(b, st, now); got != want {
+								t.Logf("op %d Fill(%d): victim %+v, want %+v", i, b, got, want)
+								return false
+							}
+						case 3:
+							c.Touch(b, now)
+							if l := ref.find(b); l != nil {
+								l.lastUse = now
+							}
+						case 4:
+							if l := ref.find(b); l != nil {
+								c.SetState(b, st)
+								l.state = st
+							}
+						case 5:
+							l := ref.find(b)
+							p, d := c.Invalidate(b)
+							if p != (l != nil) || d != (l != nil && l.state == Dirty) {
+								return false
+							}
+							if l != nil {
+								l.valid = false
+							}
+						default:
+							l := ref.find(b)
+							wantDirty := l != nil && l.state == Dirty
+							if c.Downgrade(b) != wantDirty {
+								return false
+							}
+							if wantDirty {
+								l.state = Shared
+							}
+						}
+						want := Invalid
+						if l := ref.find(b); l != nil {
+							want = l.state
+						}
+						if c.State(b) != want {
+							t.Logf("op %d: State(%d) = %v, want %v", i, b, c.State(b), want)
+							return false
+						}
+					}
+					got, want := contents(c.ForEach), contents(ref.forEach)
+					return slices.Equal(got, want) && c.Occupancy() == len(want) && c.Lines() == len(ref.lines)
+				}
+				if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestLineSize pins the 24-byte line: a field order that pads it back
+// to 32 bytes costs a third more memory per touched page.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 24 {
+		t.Fatalf("line is %d bytes, want 24", n)
+	}
+}
+
+// allocBytes returns the fewest heap bytes fn allocated over a few runs
+// (the minimum filters out runtime background allocation).
+func allocBytes(fn func()) uint64 {
+	var best uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
+			best = n
+		}
+	}
+	return best
+}
+
+// TestHierarchyMemoryGrowsWithUse pins that cache storage follows the
+// sets a run touches: building the default hierarchy allocates only the
+// page tables (an eager build allocates every line, 480 KB at 24 B per
+// line), one Fill allocates at most one page per level, and a hit
+// allocates nothing.
+func TestHierarchyMemoryGrowsWithUse(t *testing.T) {
+	cfg := DefaultConfig()
+	if n := allocBytes(func() { NewHierarchy(cfg) }); n > 16<<10 {
+		t.Errorf("NewHierarchy(DefaultConfig()) allocates %d bytes, want <= 16 KB", n)
+	}
+	page := uint64(pageSets * unsafe.Sizeof(line{}))
+	hs := []*Hierarchy{NewHierarchy(cfg), NewHierarchy(cfg), NewHierarchy(cfg)}
+	i := 0
+	if n := allocBytes(func() { hs[i].Fill(7, Shared, 1); i++ }); n > page*uint64(cfg.L1Assoc+cfg.L2Assoc) {
+		t.Errorf("one Fill allocates %d bytes, want at most one %d-byte page per level", n, page)
+	}
+	h := NewHierarchy(cfg)
+	h.Fill(42, Shared, 0)
+	if n := testing.AllocsPerRun(100, func() { h.Access(42, false, 1) }); n != 0 {
+		t.Errorf("Access on a hit allocates %.1f objects", n)
 	}
 }

@@ -100,23 +100,22 @@ func (h *Hierarchy) Access(block int64, write bool, now uint64) AccessResult {
 	} else {
 		h.stats.Reads++
 	}
-	st1 := h.l1.State(block)
-	if st1 == Dirty || (st1 == Shared && !write) {
+	if l := h.l1.find(block); l != nil && (l.state == Dirty || (l.state == Shared && !write)) {
 		h.stats.L1Hits++
-		h.l1.Touch(block, now)
+		l.lastUse = now
 		h.l2.Touch(block, now)
 		return Hit
 	}
-	st2 := h.l2.State(block)
-	if st2 == Dirty || (st2 == Shared && !write) {
+	l := h.l2.find(block)
+	if l != nil && (l.state == Dirty || (l.state == Shared && !write)) {
 		h.stats.L2Hits++
-		h.l2.Touch(block, now)
+		l.lastUse = now
 		// Refill L1 from L2 (inclusion guarantees L2 keeps the block;
 		// an L1 victim's dirtiness is already reflected in L2 state).
-		h.fillL1(block, st2, now)
+		h.fillL1(block, l.state, now)
 		return Hit
 	}
-	if st2 == Shared && write {
+	if l != nil && l.state == Shared && write {
 		h.stats.Upgrades++
 		return MissUpgrade
 	}
