@@ -46,7 +46,7 @@ func conformanceTrial(t *testing.T, s Scheme, rng *rand.Rand, steps int) {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // read: add a sharer
 			// The protocol downgrades a dirty entry before
-			// adding sharers (serveRemoteRead); mirror it.
+			// adding sharers (evServeRead); mirror it.
 			if e.Dirty() {
 				e.ClearDirty()
 				ref.dirty = false

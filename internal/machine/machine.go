@@ -124,6 +124,7 @@ type clusterNode struct {
 	res     *clusterRes
 	shard   int         // owning shard
 	eng     *sim.Engine // the owning shard's wheel
+	pool    *evPool     // the owning shard's continuation records
 	evSeq   uint64      // per-cluster event sequence, the wheel ordering key
 	spanSeq uint64      // per-cluster span-ID sequence (see spanID)
 	dir     sparse.Directory
@@ -176,9 +177,9 @@ type proc struct {
 	h             *cache.Hierarchy
 	stream        *tango.Stream
 	stepFn        func() // pre-bound m.stepProc(p): the hot path schedules it without allocating a closure per event
-	ackFn         func() // pre-bound m.ackArrived(p), for invalidation acks
 	pendingAcks   int
-	afterDrain    func()
+	fenced        bool      // a synchronization reference waits for pendingAcks to drain
+	fenceRef      tango.Ref // the waiting reference
 	drainToFinish bool
 	done          bool
 	finish        sim.Time
@@ -326,13 +327,13 @@ func New(cfg Config) (*Machine, error) {
 		}
 		cl.shard = c % m.shard.n
 		cl.eng = m.shard.wheels[cl.shard]
+		cl.pool = &m.shard.pools[cl.shard]
 		m.clusters = append(m.clusters, cl)
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		cl := m.clusters[p/cfg.ProcsPerCluster]
 		pr := &proc{id: p, cl: cl, h: cache.NewHierarchy(cfg.Cache)}
 		pr.stepFn = func() { m.stepProc(pr) }
-		pr.ackFn = func() { m.ackArrived(pr) }
 		cl.procs = append(cl.procs, pr)
 		m.procs = append(m.procs, pr)
 	}
@@ -543,14 +544,22 @@ func (m *Machine) stepProc(p *proc) {
 		m.access(p, false, ref.Addr)
 	case tango.Write:
 		m.access(p, true, ref.Addr)
-	case tango.Lock:
-		m.fence(p, func() { m.lockAcquire(p, ref.Addr, false) })
-	case tango.Unlock:
-		m.fence(p, func() { m.lockRelease(p, ref.Addr) })
-	case tango.Barrier:
-		m.fence(p, func() { m.barrierArrive(p, ref.Addr) })
+	case tango.Lock, tango.Unlock, tango.Barrier:
+		m.fence(p, ref)
 	default:
 		panic(fmt.Sprintf("machine: unknown op %v", ref.Op))
+	}
+}
+
+// syncOp runs synchronization reference ref once p's fence has drained.
+func (m *Machine) syncOp(p *proc, ref tango.Ref) {
+	switch ref.Op {
+	case tango.Lock:
+		m.lockAcquire(p, ref.Addr, false)
+	case tango.Unlock:
+		m.lockRelease(p, ref.Addr)
+	default:
+		m.barrierArrive(p, ref.Addr)
 	}
 }
 
@@ -559,24 +568,25 @@ func (m *Machine) finishProc(p *proc) {
 	p.finish = m.now(p.cl)
 }
 
-// fence runs fn once p's outstanding invalidation acknowledgements have
-// drained — DASH's release-consistency fence at synchronization points.
-func (m *Machine) fence(p *proc, fn func()) {
+// fence runs synchronization reference ref once p's outstanding
+// invalidation acknowledgements have drained — DASH's release-consistency
+// fence at synchronization points.
+func (m *Machine) fence(p *proc, ref tango.Ref) {
 	if p.pendingAcks == 0 {
 		if m.chk != nil {
 			m.chk.Drained(p.id, uint64(m.now(p.cl)))
 		}
-		fn()
+		m.syncOp(p, ref)
 		return
 	}
-	if p.afterDrain != nil {
+	if p.fenced {
 		if m.chk != nil {
 			m.chk.Violationf(check.RuleProtocol, int32(p.cl.id), -1, uint64(m.now(p.cl)),
 				"double fence: proc %d reached a second synchronization point with one already pending", p.id)
 		}
 		panic(fmt.Sprintf("machine: double fence at proc %d", p.id))
 	}
-	p.afterDrain = fn
+	p.fenced, p.fenceRef = true, ref
 }
 
 // ackArrived records one invalidation acknowledgement for p's oldest write.
@@ -594,9 +604,9 @@ func (m *Machine) ackArrived(p *proc) {
 		if m.chk != nil {
 			m.chk.Drained(p.id, uint64(now))
 		}
-		if fn := p.afterDrain; fn != nil {
-			p.afterDrain = nil
-			fn()
+		if p.fenced {
+			p.fenced = false
+			m.syncOp(p, p.fenceRef)
 		}
 		if p.drainToFinish {
 			p.drainToFinish = false

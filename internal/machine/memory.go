@@ -24,22 +24,30 @@ func (m *Machine) accessBlock(p *proc, write bool, b int64) {
 		p.opWrite = write
 		p.opStart = now
 	}
-	switch p.h.Access(b, write, now) {
-	case cache.Hit:
+	res := p.h.Access(b, write, now)
+	if res == cache.Hit {
 		m.complete(p, now+m.t.Hit)
-	case cache.MissUpgrade:
-		done := m.busOp(p.cl, m.t.Bus)
-		m.at(p.cl, done, func() { m.busMiss(p, write, b, true) })
-	default: // Miss
-		done := m.busOp(p.cl, m.t.Bus)
-		m.at(p.cl, done, func() { m.busMiss(p, write, b, false) })
+		return
 	}
+	done := m.busOp(p.cl, m.t.Bus)
+	r := m.newEv(p.cl, evBusMiss)
+	r.p, r.b, r.write, r.upgrade = p, b, write, res == cache.MissUpgrade
+	m.at(p.cl, done, r.fire)
+}
+
+// evRetryAccess re-runs an access parked behind an outstanding write.
+func evRetryAccess(m *Machine, r *ev) {
+	p, write, b := r.p, r.write, r.b
+	m.freeEv(p.cl, r)
+	m.accessBlock(p, write, b)
 }
 
 // fill installs block b in p's caches and handles any writeback the fill
 // displaces.
 func (m *Machine) fill(p *proc, b int64, st cache.State) {
-	m.debugf(b, "fill p%d/c%d %v", p.id, p.cl.id, st)
+	if b == m.debugBlock {
+		m.debugf(b, "fill p%d/c%d %v", p.id, p.cl.id, st)
+	}
 	v := p.h.Fill(b, st, m.now(p.cl))
 	m.handleVictim(p, v)
 }
@@ -56,42 +64,57 @@ func (m *Machine) handleVictim(p *proc, v cache.Victim) {
 	if home == p.cl.id {
 		return // local memory updated over the bus; no network traffic
 	}
-	hc := m.clusters[home]
-	from := p.cl.id
-	m.send(protocol.WritebackReq, from, home, func() {
-		// A writeback superseded by a re-grant of ownership to the same
-		// cluster (the home counted it when serving that request) is
-		// stale: drop it.
-		if n := hc.wbExpected[vb]; n > 0 {
-			if n == 1 {
-				delete(hc.wbExpected, vb)
-			} else {
-				hc.wbExpected[vb] = n - 1
-			}
-			return
-		}
-		// Guarded update: only clear ownership if the directory still
-		// believes we own the block (a racing transaction may already
-		// have moved ownership; its forwarded request found no copy) and
-		// the cluster has not re-acquired the block dirty meanwhile
-		// (ownership bouncing away and back via a third cluster arms no
-		// wbExpected, so a fault-delayed writeback can arrive here stale).
-		// A busy gate with the entry dirty-owned by the sender can only
-		// mean an undelivered ownership grant back to the sender, which
-		// this writeback predates — treat it as stale too.
-		if e := hc.dir.Lookup(m.dirKey(vb), m.now(hc)); e != nil && e.Dirty() && e.Owner() == from &&
-			!m.clusterHoldsDirty(m.clusters[from], vb) && !hc.gate.Busy(vb) {
-			e.Reset()
-			hc.dir.Release(m.dirKey(vb))
-		}
-		m.checkBlock(vb)
-	})
+	r := m.newEv(p.cl, evWriteback)
+	r.h, r.b, r.n = m.clusters[home], vb, p.cl.id
+	m.send(protocol.WritebackReq, p.cl.id, home, r.fire)
 }
 
-// busMiss runs after p's local bus transaction: snoop the cluster's other
-// caches, then involve the home directory if the cluster cannot satisfy
-// the access by itself.
-func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
+// evWriteback applies a dirty victim's writeback from cluster r.n at home
+// r.h.
+func evWriteback(m *Machine, r *ev) {
+	hc, vb, from := r.h, r.b, r.n
+	m.freeEv(hc, r)
+	if m.staleWriteback(hc, vb) {
+		return
+	}
+	// Guarded update: only clear ownership if the directory still
+	// believes we own the block (a racing transaction may already
+	// have moved ownership; its forwarded request found no copy) and
+	// the cluster has not re-acquired the block dirty meanwhile
+	// (ownership bouncing away and back via a third cluster arms no
+	// wbExpected, so a fault-delayed writeback can arrive here stale).
+	// A busy gate with the entry dirty-owned by the sender can only
+	// mean an undelivered ownership grant back to the sender, which
+	// this writeback predates — treat it as stale too.
+	if e := hc.dir.Lookup(m.dirKey(vb), m.now(hc)); e != nil && e.Dirty() && e.Owner() == from &&
+		!m.clusterHoldsDirty(m.clusters[from], vb) && !hc.gate.Busy(vb) {
+		e.Reset()
+		hc.dir.Release(m.dirKey(vb))
+	}
+	m.checkBlock(vb)
+}
+
+// staleWriteback consumes one expected stale writeback for b at home hc,
+// if any: a writeback superseded by a re-grant of ownership to the same
+// cluster (the home counted it when serving that request) is dropped.
+func (m *Machine) staleWriteback(hc *clusterNode, b int64) bool {
+	n := hc.wbExpected[b]
+	if n == 0 {
+		return false
+	}
+	if n == 1 {
+		delete(hc.wbExpected, b)
+	} else {
+		hc.wbExpected[b] = n - 1
+	}
+	return true
+}
+
+// evBusMiss runs after r.p's local bus transaction: snoop the cluster's
+// other caches, then involve the home directory if the cluster cannot
+// satisfy the access by itself. The record becomes the request.
+func evBusMiss(m *Machine, r *ev) {
+	p, write, b, upgrade := r.p, r.write, r.b, r.upgrade
 	c := p.cl
 	now := m.now(c)
 	home := m.home(b)
@@ -114,18 +137,23 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			// Cache-to-cache ownership transfer within the cluster; the
 			// directory state (dirty at this cluster, or home-local) is
 			// unchanged.
-			m.debugf(b, "localDirty transfer to p%d/c%d", p.id, p.cl.id)
+			if b == m.debugBlock {
+				m.debugf(b, "localDirty transfer to p%d/c%d", p.id, p.cl.id)
+			}
+			m.freeEv(c, r)
 			m.fill(p, b, cache.Dirty)
 			m.complete(p, now+m.t.Fill)
 			return
 		}
 		if home == c.id {
-			m.homeLocalWrite(p, b)
+			r.run = evHomeLocalWrite
+			evHomeLocalWrite(m, r)
 			return
 		}
 		if c.pendingWrite[b] {
 			// Another local processor's ownership request is in flight;
 			// retry over the bus when it completes.
+			m.freeEv(c, r)
 			c.writeWaiters[b] = append(c.writeWaiters[b], mshrWaiter{p: p, write: true})
 			c.res.mergedReads.Inc()
 			return
@@ -139,13 +167,15 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		}
 		tx := m.txStart(class, c, b)
 		m.trace(obs.EvReqIssue, c.id, b, int64(kind))
-		m.sendTx(kind, c.id, home, tx, func() { m.remoteWriteAtHome(p, b, upgrade, tx) })
+		r.tx, r.run = tx, evWriteAtHome
+		m.sendTx(kind, c.id, home, tx, r.fire)
 		return
 	}
 	// Read. An ownership request in flight from this cluster wins the
 	// MSHR check before any bus supply: the sibling's copy is about to
 	// be superseded, so park and retry once the write lands.
 	if c.pendingWrite[b] {
+		m.freeEv(c, r)
 		c.writeWaiters[b] = append(c.writeWaiters[b], mshrWaiter{p: p})
 		c.res.mergedReads.Inc()
 		return
@@ -157,7 +187,10 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		}
 		switch q.h.State(b) {
 		case cache.Dirty:
-			m.debugf(b, "local dirty supply q%d -> p%d (c%d)", q.id, p.id, c.id)
+			if b == m.debugBlock {
+				m.debugf(b, "local dirty supply q%d -> p%d (c%d)", q.id, p.id, c.id)
+			}
+			m.freeEv(c, r)
 			q.h.Downgrade(b)
 			m.fill(p, b, cache.Shared)
 			if home != c.id {
@@ -166,19 +199,22 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			m.complete(p, now+m.t.Fill)
 			return
 		case cache.Shared:
+			m.freeEv(c, r)
 			m.fill(p, b, cache.Shared)
 			m.complete(p, now+m.t.Fill)
 			return
 		}
 	}
 	if home == c.id {
-		m.homeLocalRead(p, b)
+		r.run = evHomeLocalRead
+		evHomeLocalRead(m, r)
 		return
 	}
 	// RAC request merging: if another local processor already has a read
 	// outstanding for this block, ride its reply instead of sending a
 	// second request.
 	if followers, ok := c.pendingReads[b]; ok {
+		m.freeEv(c, r)
 		c.pendingReads[b] = append(followers, p)
 		c.res.mergedReads.Inc()
 		return
@@ -186,7 +222,8 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 	c.pendingReads[b] = nil
 	tx := m.txStart(obs.TxRead, c, b)
 	m.trace(obs.EvReqIssue, c.id, b, int64(protocol.ReadReq))
-	m.sendTx(protocol.ReadReq, c.id, home, tx, func() { m.remoteReadAtHome(p, b, tx) })
+	r.tx, r.run = tx, evReadAtHome
+	m.sendTx(protocol.ReadReq, c.id, home, tx, r.fire)
 }
 
 // remoteReadDone fills p and every merged follower, completing them all.
@@ -196,17 +233,26 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 	m.txEnd(p.cl, tx)
 	now := m.now(p.cl)
 	poisoned := p.cl.poisonedReads[b]
-	m.debugf(b, "remoteReadDone p%d/c%d poisoned=%v followers=%d", p.id, p.cl.id, poisoned, len(p.cl.pendingReads[b]))
-	procs := append([]*proc{p}, p.cl.pendingReads[b]...)
+	followers := p.cl.pendingReads[b]
+	if b == m.debugBlock {
+		m.debugf(b, "remoteReadDone p%d/c%d poisoned=%v followers=%d", p.id, p.cl.id, poisoned, len(followers))
+	}
 	delete(p.cl.pendingReads, b)
 	delete(p.cl.poisonedReads, b)
-	for _, q := range procs {
-		if !poisoned {
-			m.fill(q, b, cache.Shared)
-		}
-		m.complete(q, now+m.t.Fill)
+	m.readFilled(p, b, poisoned, now)
+	for _, q := range followers {
+		m.readFilled(q, b, poisoned, now)
 	}
 	m.checkBlock(b)
+}
+
+// readFilled completes one processor's remote read of b, caching the data
+// unless the read was poisoned.
+func (m *Machine) readFilled(q *proc, b int64, poisoned bool, now sim.Time) {
+	if !poisoned {
+		m.fill(q, b, cache.Shared)
+	}
+	m.complete(q, now+m.t.Fill)
 }
 
 // invalidateCluster removes block b from every cache of cluster c and, if
@@ -218,7 +264,9 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 // directed is false for the home-bus snoop, which is issued
 // unconditionally and so says nothing about directory precision.
 func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
-	m.debugf(b, "invalidateCluster c%d", c.id)
+	if b == m.debugBlock {
+		m.debugf(b, "invalidateCluster c%d", c.id)
+	}
 	hit := false
 	for _, q := range c.procs {
 		if present, _ := q.h.Invalidate(b); present {
@@ -237,36 +285,39 @@ func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
 // sendSharingWB tells the home that cluster `from` downgraded its dirty
 // copy and memory is current again.
 func (m *Machine) sendSharingWB(from, home int, b int64) {
-	hc := m.clusters[home]
-	m.send(protocol.SharingWB, from, home, func() {
-		// Stale with respect to a re-granted ownership (see wbExpected)?
-		if n := hc.wbExpected[b]; n > 0 {
-			if n == 1 {
-				delete(hc.wbExpected, b)
-			} else {
-				hc.wbExpected[b] = n - 1
-			}
-			return
-		}
-		// Guarded downgrade: ownership may have moved away and back since
-		// this writeback was sent (delay or retry reordering via a third
-		// cluster arms no wbExpected). If the cluster holds the block
-		// dirty again — or a grant back to it is still in flight (gate
-		// busy with the entry dirty-owned by the sender) — the downgrade
-		// this message reports is ancient.
-		if e := hc.dir.Lookup(m.dirKey(b), m.now(hc)); e != nil && e.Dirty() && e.Owner() == from &&
-			!m.clusterHoldsDirty(m.clusters[from], b) && !hc.gate.Busy(b) {
-			e.ClearDirty()
-		}
-		m.checkBlock(b)
-	})
+	r := m.newEv(m.clusters[from], evSharingWB)
+	r.h, r.b, r.n = m.clusters[home], b, from
+	m.send(protocol.SharingWB, from, home, r.fire)
 }
 
-// homeLocalRead serves a read whose home is the requester's own cluster.
-func (m *Machine) homeLocalRead(p *proc, b int64) {
+// evSharingWB applies cluster r.n's sharing writeback at home r.h.
+func evSharingWB(m *Machine, r *ev) {
+	hc, b, from := r.h, r.b, r.n
+	m.freeEv(hc, r)
+	// Stale with respect to a re-granted ownership (see wbExpected)?
+	if m.staleWriteback(hc, b) {
+		return
+	}
+	// Guarded downgrade: ownership may have moved away and back since
+	// this writeback was sent (delay or retry reordering via a third
+	// cluster arms no wbExpected). If the cluster holds the block
+	// dirty again — or a grant back to it is still in flight (gate
+	// busy with the entry dirty-owned by the sender) — the downgrade
+	// this message reports is ancient.
+	if e := hc.dir.Lookup(m.dirKey(b), m.now(hc)); e != nil && e.Dirty() && e.Owner() == from &&
+		!m.clusterHoldsDirty(m.clusters[from], b) && !hc.gate.Busy(b) {
+		e.ClearDirty()
+	}
+	m.checkBlock(b)
+}
+
+// evHomeLocalRead serves a read whose home is the requester's own
+// cluster; it runs again if the request waits on the gate.
+func evHomeLocalRead(m *Machine, r *ev) {
+	p, b := r.p, r.b
 	h := p.cl
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.homeLocalRead(p, b) })
+		h.gate.Wait(b, r.fire)
 		return
 	}
 	now := m.now(h)
@@ -278,11 +329,13 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 		}
 		switch q.h.State(b) {
 		case cache.Dirty:
+			m.freeEv(h, r)
 			q.h.Downgrade(b)
 			m.fill(p, b, cache.Shared)
 			m.complete(p, now+m.t.Fill)
 			return
 		case cache.Shared:
+			m.freeEv(h, r)
 			m.fill(p, b, cache.Shared)
 			m.complete(p, now+m.t.Fill)
 			return
@@ -290,6 +343,7 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 	}
 	e := h.dir.Lookup(m.dirKey(b), now)
 	if e == nil || !e.Dirty() {
+		m.freeEv(h, r)
 		m.fill(p, b, cache.Shared)
 		m.complete(p, now+m.t.Fill)
 		return
@@ -299,29 +353,18 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 	owner := e.Owner()
 	e.ClearDirty()
 	h.gate.Lock(b)
-	m.send(protocol.FwdReadReq, h.id, owner, func() {
-		oc := m.clusters[owner]
-		done := m.busOp(oc, m.t.Fwd)
-		m.at(oc, done, func() {
-			for _, q := range oc.procs {
-				q.h.Downgrade(b)
-			}
-			m.send(protocol.DataReply, owner, h.id, func() {
-				m.fill(p, b, cache.Shared)
-				m.complete(p, m.now(h)+m.t.Fill)
-				h.gate.Unlock(b)
-				m.checkBlock(b)
-			})
-		})
-	})
+	r.h, r.oc, r.run = h, m.clusters[owner], evForward
+	m.send(protocol.FwdReadReq, h.id, owner, r.fire)
 }
 
-// homeLocalWrite serves a write whose home is the requester's own cluster.
-// The local bus snoop has already invalidated other local copies.
-func (m *Machine) homeLocalWrite(p *proc, b int64) {
+// evHomeLocalWrite serves a write whose home is the requester's own
+// cluster; it runs again if the request waits on the gate. The local bus
+// snoop has already invalidated other local copies.
+func evHomeLocalWrite(m *Machine, r *ev) {
+	p, b := r.p, r.b
 	h := p.cl
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.homeLocalWrite(p, b) })
+		h.gate.Wait(b, r.fire)
 		return
 	}
 	now := m.now(h)
@@ -338,12 +381,14 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 		}
 	}
 	if localDirty {
+		m.freeEv(h, r)
 		m.fill(p, b, cache.Dirty)
 		m.complete(p, now+m.t.Fill)
 		return
 	}
 	e := h.dir.Lookup(m.dirKey(b), now)
 	if e == nil || e.Empty() {
+		m.freeEv(h, r)
 		if e != nil {
 			h.dir.Release(m.dirKey(b))
 		}
@@ -360,21 +405,11 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 		e.Reset()
 		h.dir.Release(m.dirKey(b))
 		h.gate.Lock(b)
-		m.send(protocol.FwdWriteReq, h.id, owner, func() {
-			oc := m.clusters[owner]
-			done := m.busOp(oc, m.t.InvalBus)
-			m.at(oc, done, func() {
-				m.applyInval(oc, b, false)
-				m.send(protocol.OwnershipReply, owner, h.id, func() {
-					m.fill(p, b, cache.Dirty)
-					m.complete(p, m.now(h)+m.t.Fill)
-					h.gate.Unlock(b)
-					m.checkBlock(b)
-				})
-			})
-		})
+		r.h, r.oc, r.run = h, m.clusters[owner], evForward
+		m.send(protocol.FwdWriteReq, h.id, owner, r.fire)
 		return
 	}
+	m.freeEv(h, r)
 	// Remote sharers: invalidate them; ownership is granted immediately
 	// (acknowledgements drain asynchronously under release consistency).
 	targets := e.Sharers()
@@ -397,6 +432,70 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 	m.checkBlock(b)
 }
 
+// evForward runs when a request the home r.h forwarded reaches the dirty
+// owner r.oc: the owner's bus snoop gives up (write) or downgrades (read)
+// its copy.
+func evForward(m *Machine, r *ev) {
+	dur := m.t.Fwd
+	if r.write {
+		dur = m.t.InvalBus
+	}
+	done := m.busOp(r.oc, dur)
+	r.run = evOwnerBus
+	m.at(r.oc, done, r.fire)
+}
+
+// evOwnerBus completes the owner's snoop and replies. A home-local
+// requester is answered at the home, whose reply handler unlocks the gate;
+// a remote requester gets the reply directly (and, for a read, the home a
+// sharing writeback).
+func evOwnerBus(m *Machine, r *ev) {
+	oc, h, b, tx, write := r.oc, r.h, r.b, r.tx, r.write
+	kind := protocol.DataReply
+	if write {
+		kind = protocol.OwnershipReply
+		m.applyInval(oc, b, false)
+	} else {
+		for _, q := range oc.procs {
+			q.h.Downgrade(b)
+		}
+	}
+	if r.p.cl == h {
+		r.run = evLocalReply
+		m.send(kind, oc.id, h.id, r.fire)
+		return
+	}
+	m.txPhase(oc, tx, obs.PhFanout)
+	if write {
+		r.run = evWriteDone
+		m.replyUnlock(kind, oc, r)
+		return
+	}
+	r.run = evReadDone
+	m.replyUnlock(kind, oc, r)
+	m.sendTx(protocol.SharingWB, oc.id, h.id, tx, nop)
+}
+
+// evLocalReply completes a home-local access whose home forwarded it to a
+// remote owner, and unlocks the gate.
+func evLocalReply(m *Machine, r *ev) {
+	p, h, b := r.p, r.h, r.b
+	st := cache.Shared
+	if r.write {
+		st = cache.Dirty
+	}
+	m.freeEv(h, r)
+	m.fill(p, b, st)
+	m.complete(p, m.now(h)+m.t.Fill)
+	m.unlockHome(h, b)
+}
+
+// unlockHome unlocks home h's gate for b and checks the block.
+func (m *Machine) unlockHome(h *clusterNode, b int64) {
+	h.gate.Unlock(b)
+	m.checkBlock(b)
+}
+
 // sendInvals sends invalidations for block b to every cluster in targets;
 // each target acknowledges to ackTo's cluster and the ack is credited to
 // ackTo. The requester's own cluster is never a target (callers exclude
@@ -413,40 +512,78 @@ func (m *Machine) sendInvals(h *clusterNode, b int64, targets bitset.Set, ackTo 
 	// keeps the controller busy and delays requests queued behind it.
 	m.occupyDir(h, m.t.InvalSend*sim.Time(targets.Count()))
 	targets.ForEach(func(t int) {
-		tc := m.clusters[t]
-		m.sendTx(protocol.Inval, h.id, t, tx, func() {
-			done := m.busOp(tc, m.t.InvalBus)
-			m.at(tc, done, func() {
-				m.applyInval(tc, b, false)
-				m.invalApplied(b)
-				if tx == nil {
-					// Hot path: the pre-bound ack handler avoids allocating
-					// a closure per invalidation.
-					m.sendTx(protocol.AckMsg, t, ackTo.cl.id, nil, ackTo.ackFn)
-					return
-				}
-				m.sendTx(protocol.AckMsg, t, ackTo.cl.id, tx, func() {
-					m.ackArrived(ackTo)
-					m.txAck(ackTo.cl, tx)
-				})
-			})
-		})
+		m.sendInval(protocol.Inval, h, t, b, ackTo, tx, false)
 	})
 }
 
-// remoteReadAtHome runs when a ReadReq arrives at the home cluster.
-func (m *Machine) remoteReadAtHome(p *proc, b int64, tx *txState) {
-	h := m.clusters[m.home(b)]
-	m.txPhase(h, tx, obs.PhReqTravel)
-	m.trace(obs.EvDirLookup, h.id, b, 0)
-	done := m.dirOp(h, m.t.Dir)
-	m.at(h, done, func() { m.serveRemoteRead(p, b, h, tx) })
+// sendInval sends one invalidation (or, for a dirty replacement victim, a
+// flush) for b from home h to cluster t. The ack is credited to ackTo, or
+// returns to the home when ackTo is nil; recall marks a replacement
+// recall, whose acks complete the home's RAC entry.
+func (m *Machine) sendInval(kind protocol.MsgKind, h *clusterNode, t int, b int64, ackTo *proc, tx *txState, recall bool) {
+	r := m.newEv(h, evInval)
+	r.p, r.h, r.oc, r.b, r.tx, r.recall = ackTo, h, m.clusters[t], b, tx, recall
+	m.sendTx(kind, h.id, t, tx, r.fire)
 }
 
-func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState) {
-	m.debugf(b, "serveRemoteRead p%d/c%d gateBusy=%v", p.id, p.cl.id, h.gate.Busy(b))
+// evInval runs when an invalidation reaches target r.oc: the target's bus
+// carries it to the caches.
+func evInval(m *Machine, r *ev) {
+	done := m.busOp(r.oc, m.t.InvalBus)
+	r.run = evInvalBus
+	m.at(r.oc, done, r.fire)
+}
+
+// evInvalBus applies the invalidation and acknowledges it.
+func evInvalBus(m *Machine, r *ev) {
+	tc, b := r.oc, r.b
+	m.applyInval(tc, b, r.recall)
+	if !r.recall {
+		m.invalApplied(b)
+	}
+	to := r.h
+	if r.p != nil {
+		to = r.p.cl
+	}
+	r.run = evAck
+	m.sendTx(protocol.AckMsg, tc.id, to.id, r.tx, r.fire)
+}
+
+// evAck credits an invalidation acknowledgement to its processor, or at the
+// home to the replacement recall or the transaction it belongs to.
+func evAck(m *Machine, r *ev) {
+	p, h, b, tx, recall := r.p, r.h, r.b, r.tx, r.recall
+	if p != nil {
+		m.freeEv(p.cl, r)
+		m.ackArrived(p)
+		m.txAck(p.cl, tx)
+		return
+	}
+	m.freeEv(h, r)
+	if recall {
+		m.racAck(h, b)
+	}
+	m.txAck(h, tx)
+}
+
+// evReadAtHome runs when a ReadReq arrives at the home cluster.
+func evReadAtHome(m *Machine, r *ev) {
+	h := m.clusters[m.home(r.b)]
+	m.txPhase(h, r.tx, obs.PhReqTravel)
+	m.trace(obs.EvDirLookup, h.id, r.b, 0)
+	done := m.dirOp(h, m.t.Dir)
+	r.h, r.run = h, evServeRead
+	m.at(h, done, r.fire)
+}
+
+// evServeRead serves a read request at the home once the directory is free.
+func evServeRead(m *Machine, r *ev) {
+	p, b, h, tx := r.p, r.b, r.h, r.tx
+	if b == m.debugBlock {
+		m.debugf(b, "serveRead p%d/c%d gateBusy=%v", p.id, p.cl.id, h.gate.Busy(b))
+	}
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.serveRemoteRead(p, b, h, tx) })
+		h.gate.Wait(b, r.fire)
 		return
 	}
 	now := m.now(h)
@@ -461,20 +598,8 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 		m.drainDirVictims(h)
 		h.gate.Lock(b)
 		m.txPhase(h, tx, obs.PhDirWait)
-		m.sendTx(protocol.FwdReadReq, h.id, owner, tx, func() {
-			oc := m.clusters[owner]
-			done := m.busOp(oc, m.t.Fwd)
-			m.at(oc, done, func() {
-				for _, q := range oc.procs {
-					q.h.Downgrade(b)
-				}
-				m.txPhase(oc, tx, obs.PhFanout)
-				m.replyUnlock(protocol.DataReply, oc, h, rc, b, tx, func() {
-					m.remoteReadDone(p, b, tx)
-				})
-				m.sendTx(protocol.SharingWB, owner, h.id, tx, func() {})
-			})
-		})
+		r.oc, r.run = m.clusters[owner], evForward
+		m.sendTx(protocol.FwdReadReq, h.id, owner, tx, r.fire)
 		return
 	}
 	// Clean at home (or owned by the requester after a writeback race).
@@ -482,6 +607,7 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 	if victim != nil {
 		m.replaceEntry(h, victim)
 	}
+	r.run = evReadDone
 	if e2.Dirty() && e2.Owner() == rc {
 		if m.clusterHoldsDirty(p.cl, b) {
 			// Stale request: fault-injected delay (or a retry) let the
@@ -489,12 +615,12 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 			// has already been granted back. A real home would NAK;
 			// here the entry is left untouched and the reply merely
 			// completes the read, which the overtaking write poisoned.
-			m.debugf(b, "stale read from owner c%d, entry untouched", rc)
+			if b == m.debugBlock {
+				m.debugf(b, "stale read from owner c%d, entry untouched", rc)
+			}
 			p.cl.poisonedReads[b] = true
 			m.txPhase(h, tx, obs.PhDirWait)
-			m.sendTx(protocol.DataReply, h.id, rc, tx, func() {
-				m.remoteReadDone(p, b, tx)
-			})
+			m.sendTx(protocol.DataReply, h.id, rc, tx, r.fire)
 			return
 		}
 		// The owner itself is asking: its copy was evicted, so a
@@ -510,24 +636,38 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 	m.handleNBEvictions(h, b, e2.AddSharer(rc), tx)
 	m.drainDirVictims(h)
 	m.txPhase(h, tx, obs.PhDirWait)
-	m.sendTx(protocol.DataReply, h.id, rc, tx, func() {
-		m.remoteReadDone(p, b, tx)
-	})
+	m.sendTx(protocol.DataReply, h.id, rc, tx, r.fire)
 }
 
-// remoteWriteAtHome runs when a WriteReq/UpgradeReq arrives at the home.
-func (m *Machine) remoteWriteAtHome(p *proc, b int64, upgrade bool, tx *txState) {
-	h := m.clusters[m.home(b)]
-	m.txPhase(h, tx, obs.PhReqTravel)
-	m.trace(obs.EvDirLookup, h.id, b, 1)
+// evReadDone runs when a read's data reply reaches the requester.
+func evReadDone(m *Machine, r *ev) {
+	p, h, b, tx, unlock := r.p, r.h, r.b, r.tx, r.unlock
+	m.freeEv(p.cl, r)
+	m.remoteReadDone(p, b, tx)
+	if unlock {
+		m.unlockHome(h, b)
+	}
+}
+
+// evWriteAtHome runs when a WriteReq/UpgradeReq arrives at the home.
+func evWriteAtHome(m *Machine, r *ev) {
+	h := m.clusters[m.home(r.b)]
+	m.txPhase(h, r.tx, obs.PhReqTravel)
+	m.trace(obs.EvDirLookup, h.id, r.b, 1)
 	done := m.dirOp(h, m.t.Dir)
-	m.at(h, done, func() { m.serveRemoteWrite(p, b, h, upgrade, tx) })
+	r.h, r.run = h, evServeWrite
+	m.at(h, done, r.fire)
 }
 
-func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade bool, tx *txState) {
-	m.debugf(b, "serveRemoteWrite p%d/c%d upgrade=%v gateBusy=%v", p.id, p.cl.id, upgrade, h.gate.Busy(b))
+// evServeWrite serves an ownership request at the home once the directory
+// is free.
+func evServeWrite(m *Machine, r *ev) {
+	p, b, h, tx := r.p, r.b, r.h, r.tx
+	if b == m.debugBlock {
+		m.debugf(b, "serveWrite p%d/c%d upgrade=%v gateBusy=%v", p.id, p.cl.id, r.upgrade, h.gate.Busy(b))
+	}
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.serveRemoteWrite(p, b, h, upgrade, tx) })
+		h.gate.Wait(b, r.fire)
 		return
 	}
 	now := m.now(h)
@@ -542,17 +682,8 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 		e.SetDirty(rc)
 		h.gate.Lock(b)
 		m.txPhase(h, tx, obs.PhDirWait)
-		m.sendTx(protocol.FwdWriteReq, h.id, owner, tx, func() {
-			oc := m.clusters[owner]
-			done := m.busOp(oc, m.t.InvalBus)
-			m.at(oc, done, func() {
-				m.applyInval(oc, b, false)
-				m.txPhase(oc, tx, obs.PhFanout)
-				m.replyUnlock(protocol.OwnershipReply, oc, h, rc, b, tx, func() {
-					m.remoteWriteDone(p, b, upgrade, tx)
-				})
-			})
-		})
+		r.oc, r.run = m.clusters[owner], evForward
+		m.sendTx(protocol.FwdWriteReq, h.id, owner, tx, r.fire)
 		return
 	}
 	if e.Dirty() && e.Owner() == rc && !m.clusterHoldsDirty(p.cl, b) {
@@ -586,17 +717,27 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 	// Config.Validate keeps strictly longer than the direct reply). A
 	// delayed or retried reply can be overtaken by its acks, so under
 	// faults the count is charged at the home instead.
-	atReply := !m.faultsOn
-	if !atReply {
+	r.atReply = !m.faultsOn
+	if !r.atReply {
 		m.expectAcks(p, n)
 	}
-	m.replyUnlock(protocol.OwnershipReply, h, h, rc, b, tx, func() {
-		if atReply {
-			m.expectAcks(p, n)
-		}
-		m.remoteWriteDone(p, b, upgrade, tx)
-	})
+	r.n, r.run = n, evWriteDone
+	m.replyUnlock(protocol.OwnershipReply, h, r)
 	m.sendInvals(h, b, targets, p, tx)
+}
+
+// evWriteDone runs when the ownership reply reaches the requester.
+func evWriteDone(m *Machine, r *ev) {
+	p, h, b, tx := r.p, r.h, r.b, r.tx
+	upgrade, unlock := r.upgrade, r.unlock
+	if r.atReply {
+		m.expectAcks(p, r.n)
+	}
+	m.freeEv(p.cl, r)
+	m.remoteWriteDone(p, b, upgrade, tx)
+	if unlock {
+		m.unlockHome(h, b)
+	}
 }
 
 // expectAcks charges n outstanding invalidation acknowledgements to p.
@@ -607,27 +748,32 @@ func (m *Machine) expectAcks(p *proc, n int) {
 	}
 }
 
-// replyUnlock sends the reply that completes a gated transaction at home
-// h from cluster from to requester rc, and unlocks h's gate for b when the
-// reply lands. Fault-free, the home unlocks itself at the reply's arrival
-// instant through its own event, so no cluster reaches into another's
-// gate. Under faults the reply may be delayed or retried, so the gate
-// stays locked until the reply's handler actually runs (faults run at
-// width 1, where the requester may touch the home's gate).
-func (m *Machine) replyUnlock(kind protocol.MsgKind, from, h *clusterNode, rc int, b int64, tx *txState, arrive func()) {
+// replyUnlock sends reply record r, which completes a gated transaction at
+// home r.h, from cluster from to the requester, and unlocks the home's
+// gate for r.b when the reply lands. Fault-free, the home unlocks itself
+// at the reply's arrival instant through its own event and record, so no
+// cluster reaches into another's gate. Under faults the reply may be
+// delayed or retried, so the gate stays locked until the reply's step
+// actually runs (faults run at width 1, where the requester may touch the
+// home's gate).
+func (m *Machine) replyUnlock(kind protocol.MsgKind, from *clusterNode, r *ev) {
+	h, b, rc := r.h, r.b, r.p.cl.id
 	if m.faultsOn {
-		m.sendTx(kind, from.id, rc, tx, func() {
-			arrive()
-			h.gate.Unlock(b)
-			m.checkBlock(b)
-		})
+		r.unlock = true
+		m.sendTx(kind, from.id, rc, r.tx, r.fire)
 		return
 	}
-	m.sendTx(kind, from.id, rc, tx, arrive)
-	m.xat(from, h, m.now(from)+m.net.Latency(from.id, rc), func() {
-		h.gate.Unlock(b)
-		m.checkBlock(b)
-	})
+	m.sendTx(kind, from.id, rc, r.tx, r.fire)
+	u := m.newEv(from, evUnlock)
+	u.h, u.b = h, b
+	m.xat(from, h, m.now(from)+m.net.Latency(from.id, rc), u.fire)
+}
+
+// evUnlock unlocks the home's gate at a reply's arrival instant.
+func evUnlock(m *Machine, r *ev) {
+	h, b := r.h, r.b
+	m.freeEv(h, r)
+	m.unlockHome(h, b)
 }
 
 // clusterHoldsDirty reports whether any cache in c currently holds b
@@ -665,7 +811,9 @@ func (m *Machine) fillExclusive(p *proc, b int64, upgrade bool) {
 func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, tx *txState) {
 	m.txPhase(p.cl, tx, obs.PhReplyTravel)
 	m.txEnd(p.cl, tx)
-	m.debugf(b, "remoteWriteDone p%d/c%d waiters=%d", p.id, p.cl.id, len(p.cl.writeWaiters[b]))
+	if b == m.debugBlock {
+		m.debugf(b, "remoteWriteDone p%d/c%d waiters=%d", p.id, p.cl.id, len(p.cl.writeWaiters[b]))
+	}
 	m.fillExclusive(p, b, upgrade)
 	c := p.cl
 	m.complete(p, m.now(c)+m.t.Fill)
@@ -673,8 +821,9 @@ func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, tx *txState) {
 	waiters := c.writeWaiters[b]
 	delete(c.writeWaiters, b)
 	for _, w := range waiters {
-		w := w
-		m.after(c, m.t.Fill, func() { m.accessBlock(w.p, w.write, b) })
+		r := m.newEv(c, evRetryAccess)
+		r.p, r.write, r.b = w.p, w.write, b
+		m.after(c, m.t.Fill, r.fire)
 	}
 }
 
@@ -699,19 +848,9 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 	}
 	m.occupyDir(h, m.t.InvalSend*sim.Time(len(ev)))
 	for _, v := range ev {
-		if v == h.id {
-			continue
+		if v != h.id {
+			m.sendInval(protocol.Inval, h, v, b, nil, tx, false)
 		}
-		vc := m.clusters[v]
-		v := v
-		m.sendTx(protocol.Inval, h.id, v, tx, func() {
-			done := m.busOp(vc, m.t.InvalBus)
-			m.at(vc, done, func() {
-				m.applyInval(vc, b, false)
-				m.invalApplied(b)
-				m.sendTx(protocol.AckMsg, v, h.id, tx, func() { m.txAck(h, tx) })
-			})
-		})
 	}
 }
 
@@ -735,18 +874,28 @@ func (m *Machine) replaceEntry(h *clusterNode, victim *sparse.Victim) {
 	// The directory stores home-local keys; recover the global block.
 	vb, ve := m.keyBlock(victim.Block, h.id), victim.Entry
 	m.recallPending(vb, +1)
-	act := func() { m.sendReplacementInvals(h, vb, ve) }
 	if h.gate.Busy(vb) {
 		// The victim block has a transaction in flight; its state keeps
 		// evolving in ve, so run the replacement when the gate clears.
-		h.gate.Wait(vb, act)
+		r := m.newEv(h, evReplace)
+		r.h, r.b, r.ve = h, vb, ve
+		h.gate.Wait(vb, r.fire)
 		return
 	}
-	act()
+	m.sendReplacementInvals(h, vb, ve)
+}
+
+// evReplace runs a replacement that waited for the victim block's gate.
+func evReplace(m *Machine, r *ev) {
+	h, vb, ve := r.h, r.b, r.ve
+	m.freeEv(h, r)
+	m.sendReplacementInvals(h, vb, ve)
 }
 
 func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry) {
-	m.debugf(vb, "recall start h=c%d empty=%v dirty=%v", h.id, ve.Empty(), ve.Dirty())
+	if vb == m.debugBlock {
+		m.debugf(vb, "recall start h=c%d empty=%v dirty=%v", h.id, ve.Empty(), ve.Dirty())
+	}
 	if ve.Empty() {
 		m.recallPending(vb, -1)
 		return
@@ -761,17 +910,7 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 		m.occupyDir(h, m.t.InvalSend)
 		h.gate.Lock(vb)
 		h.rac.Start(vb, 1)
-		oc := m.clusters[owner]
-		m.sendTx(protocol.Flush, h.id, owner, tx, func() {
-			done := m.busOp(oc, m.t.InvalBus)
-			m.at(oc, done, func() {
-				m.applyInval(oc, vb, true)
-				m.sendTx(protocol.AckMsg, owner, h.id, tx, func() {
-					m.racAck(h, vb)
-					m.txAck(h, tx)
-				})
-			})
-		})
+		m.sendInval(protocol.Flush, h, owner, vb, nil, tx, true)
 		return
 	}
 	targets := ve.Sharers()
@@ -790,23 +929,15 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 	h.gate.Lock(vb)
 	h.rac.Start(vb, n)
 	targets.ForEach(func(t int) {
-		tc := m.clusters[t]
-		m.sendTx(protocol.Inval, h.id, t, tx, func() {
-			done := m.busOp(tc, m.t.InvalBus)
-			m.at(tc, done, func() {
-				m.applyInval(tc, vb, true)
-				m.sendTx(protocol.AckMsg, t, h.id, tx, func() {
-					m.racAck(h, vb)
-					m.txAck(h, tx)
-				})
-			})
-		})
+		m.sendInval(protocol.Inval, h, t, vb, nil, tx, true)
 	})
 }
 
 func (m *Machine) racAck(h *clusterNode, vb int64) {
 	if h.rac.Ack(vb) {
-		m.debugf(vb, "recall complete h=c%d", h.id)
+		if vb == m.debugBlock {
+			m.debugf(vb, "recall complete h=c%d", h.id)
+		}
 		m.recallPending(vb, -1)
 		m.checkRecallClean(h, vb)
 		h.gate.Unlock(vb)

@@ -29,23 +29,41 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 	// grant (or the wake that triggers a retry, which opens a new round).
 	tx := m.txStart(obs.TxLock, p.cl, addr)
 	m.lockTxSet(p, tx)
-	m.sendTx(protocol.LockReq, p.cl.id, home, tx, func() {
-		hc := m.clusters[home]
-		m.txPhase(hc, tx, obs.PhReqTravel)
-		done := m.dirOp(hc, m.t.Dir)
-		m.at(hc, done, func() {
-			granted, woken := hc.res.locks.Acquire(addr, p.cl.id, p.id)
-			m.wakeNodes(addr, home, woken)
-			if granted {
-				m.txPhase(hc, tx, obs.PhDirWait)
-				m.sendTx(protocol.LockGrant, home, p.cl.id, tx, func() {
-					m.txPhase(p.cl, tx, obs.PhReplyTravel)
-					m.lockTxEnd(p)
-					m.complete(p, m.now(p.cl)+m.t.Hit)
-				})
-			}
-		})
-	})
+	r := m.newEv(p.cl, evLockReq)
+	r.p, r.h, r.b, r.tx = p, m.clusters[home], addr, tx
+	m.sendTx(protocol.LockReq, p.cl.id, home, tx, r.fire)
+}
+
+// evLockReq runs when a lock request reaches the lock's home r.h.
+func evLockReq(m *Machine, r *ev) {
+	m.txPhase(r.h, r.tx, obs.PhReqTravel)
+	done := m.dirOp(r.h, m.t.Dir)
+	r.run = evLockAcquire
+	m.at(r.h, done, r.fire)
+}
+
+// evLockAcquire tries the acquisition at the home; a grant goes back to
+// the requester in the same record.
+func evLockAcquire(m *Machine, r *ev) {
+	p, hc, addr, tx := r.p, r.h, r.b, r.tx
+	granted, woken := hc.res.locks.Acquire(addr, p.cl.id, p.id)
+	m.wakeNodes(addr, hc.id, woken)
+	if !granted {
+		m.freeEv(hc, r)
+		return
+	}
+	m.txPhase(hc, tx, obs.PhDirWait)
+	r.run = evLockGrant
+	m.sendTx(protocol.LockGrant, hc.id, p.cl.id, tx, r.fire)
+}
+
+// evLockGrant completes r.p's lock acquisition when the grant arrives.
+func evLockGrant(m *Machine, r *ev) {
+	p, tx := r.p, r.tx
+	m.freeEv(p.cl, r)
+	m.txPhase(p.cl, tx, obs.PhReplyTravel)
+	m.lockTxEnd(p)
+	m.complete(p, m.now(p.cl)+m.t.Hit)
 }
 
 // lockRelease runs an Unlock reference. The releasing processor proceeds
@@ -59,15 +77,25 @@ func (m *Machine) lockRelease(p *proc, addr int64) {
 		m.complete(p, m.now(p.cl)+m.t.Bus)
 		return
 	}
-	m.send(protocol.UnlockReq, p.cl.id, home, func() {
-		hc := m.clusters[home]
-		done := m.dirOp(hc, m.t.Dir)
-		m.at(hc, done, func() {
-			g := hc.res.locks.Release(addr)
-			m.handleGrant(addr, home, g)
-		})
-	})
+	r := m.newEv(p.cl, evUnlockReq)
+	r.h, r.b = m.clusters[home], addr
+	m.send(protocol.UnlockReq, p.cl.id, home, r.fire)
 	m.complete(p, m.now(p.cl)+m.t.Hit)
+}
+
+// evUnlockReq runs when a release reaches the lock's home r.h.
+func evUnlockReq(m *Machine, r *ev) {
+	done := m.dirOp(r.h, m.t.Dir)
+	r.run = evLockRelease
+	m.at(r.h, done, r.fire)
+}
+
+// evLockRelease releases the lock at the home and delivers the outcome.
+func evLockRelease(m *Machine, r *ev) {
+	hc, addr := r.h, r.b
+	m.freeEv(hc, r)
+	g := hc.res.locks.Release(addr)
+	m.handleGrant(addr, hc.id, g)
 }
 
 // handleGrant delivers the outcome of a lock release: either a direct
@@ -81,12 +109,11 @@ func (m *Machine) handleGrant(addr int64, home int, g protocol.Grant) {
 			return
 		}
 		tx := m.lockTxOf(q)
-		m.txPhase(m.clusters[home], tx, obs.PhDirWait)
-		m.sendTx(protocol.LockGrant, home, g.Node, tx, func() {
-			m.txPhase(q.cl, tx, obs.PhReplyTravel)
-			m.lockTxEnd(q)
-			m.complete(q, m.now(q.cl)+m.t.Hit)
-		})
+		hc := m.clusters[home]
+		m.txPhase(hc, tx, obs.PhDirWait)
+		r := m.newEv(hc, evLockGrant)
+		r.p, r.tx = q, tx
+		m.sendTx(protocol.LockGrant, home, g.Node, tx, r.fire)
 		return
 	}
 	m.wakeNodes(addr, home, g.Wake)
@@ -103,14 +130,21 @@ func (m *Machine) handleGrant(addr int64, home int, g protocol.Grant) {
 func (m *Machine) wakeNodes(addr int64, home int, nodes []core.NodeID) {
 	hc := m.clusters[home]
 	for _, w := range nodes {
-		w := w
 		if w == home {
 			m.retryWaiters(addr, hc.res.locks.TakeWaiters(addr, w))
 			continue
 		}
-		ws := hc.res.locks.TakeWaiters(addr, w)
-		m.send(protocol.LockWake, home, w, func() { m.retryWaiters(addr, ws) })
+		r := m.newEv(hc, evLockWake)
+		r.b, r.ws, r.n = addr, hc.res.locks.TakeWaiters(addr, w), w
+		m.send(protocol.LockWake, home, w, r.fire)
 	}
+}
+
+// evLockWake retries the waiters a wake message carries, at cluster r.n.
+func evLockWake(m *Machine, r *ev) {
+	addr, ws := r.b, r.ws
+	m.freeEv(m.clusters[r.n], r)
+	m.retryWaiters(addr, ws)
 }
 
 // retryWaiters re-runs lock acquisition for each woken processor. It runs
@@ -166,7 +200,16 @@ func (m *Machine) treeArrive(c int, addr int64) {
 		return
 	}
 	parent := treeParent(c)
-	m.send(protocol.BarrierArrive, c, parent, func() { m.treeArrive(parent, addr) })
+	r := m.newEv(cl, evTreeArrive)
+	r.n, r.b = parent, addr
+	m.send(protocol.BarrierArrive, c, parent, r.fire)
+}
+
+// evTreeArrive delivers a completed subtree's arrival to tree node r.n.
+func evTreeArrive(m *Machine, r *ev) {
+	c, addr := r.n, r.b
+	m.freeEv(m.clusters[c], r)
+	m.treeArrive(c, addr)
 }
 
 // treeRelease fans the barrier release down cluster c's subtree.
@@ -177,8 +220,17 @@ func (m *Machine) treeRelease(c int, addr int64) {
 	}
 	delete(cl.treeWaiting, addr)
 	m.treeChildren(c, func(child int) {
-		m.send(protocol.BarrierRelease, c, child, func() { m.treeRelease(child, addr) })
+		r := m.newEv(cl, evTreeRelease)
+		r.n, r.b = child, addr
+		m.send(protocol.BarrierRelease, c, child, r.fire)
 	})
+}
+
+// evTreeRelease fans a barrier release on down from tree node r.n.
+func evTreeRelease(m *Machine, r *ev) {
+	c, addr := r.n, r.b
+	m.freeEv(m.clusters[c], r)
+	m.treeRelease(c, addr)
 }
 
 // barrierArrive runs a Barrier reference: the arrival is sent to the
@@ -196,22 +248,40 @@ func (m *Machine) barrierArrive(p *proc, addr int64) {
 // centralBarrierArrive implements the default single-home barrier.
 func (m *Machine) centralBarrierArrive(p *proc, addr int64) {
 	home := m.home(m.block(addr))
-	hc := m.clusters[home]
-	deliver := func() {
-		for _, qid := range hc.res.barriers.Arrive(addr, p.id) {
-			q := m.procs[qid]
-			if q.cl.id == home {
-				m.complete(q, m.now(hc)+m.t.Hit)
-				continue
-			}
-			m.send(protocol.BarrierRelease, home, q.cl.id, func() {
-				m.complete(q, m.now(q.cl)+m.t.Hit)
-			})
-		}
-	}
 	if home == p.cl.id {
-		deliver()
+		m.barrierDeliver(p.cl, p, addr)
 		return
 	}
-	m.send(protocol.BarrierArrive, p.cl.id, home, deliver)
+	r := m.newEv(p.cl, evBarrierArrive)
+	r.p, r.h, r.b = p, m.clusters[home], addr
+	m.send(protocol.BarrierArrive, p.cl.id, home, r.fire)
+}
+
+// evBarrierArrive delivers r.p's arrival at the barrier's home r.h.
+func evBarrierArrive(m *Machine, r *ev) {
+	p, hc, addr := r.p, r.h, r.b
+	m.freeEv(hc, r)
+	m.barrierDeliver(hc, p, addr)
+}
+
+// barrierDeliver records p's arrival at the barrier's home hc; the last
+// arrival releases every participant.
+func (m *Machine) barrierDeliver(hc *clusterNode, p *proc, addr int64) {
+	for _, qid := range hc.res.barriers.Arrive(addr, p.id) {
+		q := m.procs[qid]
+		if q.cl == hc {
+			m.complete(q, m.now(hc)+m.t.Hit)
+			continue
+		}
+		r := m.newEv(hc, evBarrierRelease)
+		r.p = q
+		m.send(protocol.BarrierRelease, hc.id, q.cl.id, r.fire)
+	}
+}
+
+// evBarrierRelease releases processor r.p from a central barrier.
+func evBarrierRelease(m *Machine, r *ev) {
+	q := r.p
+	m.freeEv(q.cl, r)
+	m.complete(q, m.now(q.cl)+m.t.Hit)
 }

@@ -104,7 +104,11 @@ func (m *Machine) deliverMsg(env *netMsg) {
 	}
 	env.delivered = true
 	delete(m.inflight, env.id)
-	env.deliver()
+	// The handler may be a pooled record's fire, which runs whatever
+	// step the record's next user sets: drop it once it has run.
+	deliver := env.deliver
+	env.deliver = nil
+	deliver()
 }
 
 // timeoutMsg handles attempt att's retransmit timer: re-send with doubled
@@ -186,7 +190,7 @@ func (m *Machine) diagnosticDump() string {
 			}
 			fmt.Fprintf(&b, ", %s in flight since t=%d", op, p.opStart)
 		}
-		if p.afterDrain != nil {
+		if p.fenced {
 			b.WriteString(", fenced")
 		}
 		if p.drainToFinish {

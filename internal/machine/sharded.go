@@ -116,6 +116,7 @@ type shardedCore struct {
 	n      int
 	look   sim.Time
 	wheels []*sim.Engine
+	pools  []evPool // per-shard continuation records (cont.go)
 
 	// out[src][dst] buffers events shard src scheduled into shard dst's
 	// clusters during the current window; dst drains its column at the
@@ -161,6 +162,7 @@ func newShardedCore(m *Machine, n int) *shardedCore {
 		n:        n,
 		look:     look,
 		wheels:   make([]*sim.Engine, n),
+		pools:    make([]evPool, n),
 		out:      make([][][]relayEv, n),
 		nextT:    make([]sim.Time, n),
 		obsBuf:   make([]shardObsCell, n),

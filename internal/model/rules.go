@@ -320,7 +320,7 @@ func (a *applier) nbEviction(h, b, v int) {
 	a.send(kInval, h, v, b, -1, fAckInert)
 }
 
-// --- home service of remote requests (machine: serveRemoteRead/Write) ---
+// --- home service of remote requests (machine: evServeRead/evServeWrite) ---
 
 func (a *applier) serveRead(h, rc, b int) {
 	if a.s.gate[b] {
@@ -406,7 +406,7 @@ func (a *applier) serveWrite(h, rc, b int) {
 	}
 }
 
-// --- home-local accesses (machine: homeLocalRead/homeLocalWrite) ---
+// --- home-local accesses (machine: evHomeLocalRead/evHomeLocalWrite) ---
 
 func (a *applier) homeLocalRead(c, b int) {
 	if a.s.gate[b] {

@@ -15,6 +15,11 @@ import (
 type Gate struct {
 	m map[int64]*gateState
 
+	// free holds gate states whose block unlocked with an empty queue;
+	// Lock reuses them, queue capacity included, so a warmed gate
+	// locks, queues and unlocks without allocating.
+	free []*gateState
+
 	// Waits, when non-nil, counts transactions queued behind a busy
 	// block ("gate.waits" in the machine registry).
 	Waits *obs.Counter
@@ -31,6 +36,7 @@ type Gate struct {
 type gateState struct {
 	busy bool
 	q    []func()
+	head int // q[head:] is still to replay
 }
 
 // NewGate returns an empty gate table.
@@ -47,7 +53,12 @@ func (g *Gate) Busy(block int64) bool {
 func (g *Gate) Lock(block int64) {
 	st := g.m[block]
 	if st == nil {
-		st = &gateState{}
+		if n := len(g.free); n > 0 {
+			st = g.free[n-1]
+			g.free = g.free[:n-1]
+		} else {
+			st = &gateState{}
+		}
 		g.m[block] = st
 	}
 	if st.busy {
@@ -76,13 +87,18 @@ func (g *Gate) Unlock(block int64) {
 		g.anomaly("Gate.Unlock on non-busy block", block)
 	}
 	st.busy = false
-	for !st.busy && len(st.q) > 0 {
-		fn := st.q[0]
-		st.q = st.q[1:]
+	for !st.busy && st.head < len(st.q) {
+		fn := st.q[st.head]
+		st.q[st.head] = nil
+		st.head++
 		fn()
 	}
-	if !st.busy && len(st.q) == 0 {
+	// A replayed transaction may itself have locked and drained the
+	// block, recycling st already; recycle it only while still mapped.
+	if !st.busy && st.head == len(st.q) && g.m[block] == st {
 		delete(g.m, block)
+		st.q, st.head = st.q[:0], 0
+		g.free = append(g.free, st)
 	}
 }
 
@@ -97,7 +113,7 @@ func (g *Gate) anomaly(op string, block int64) {
 // Pending returns the number of queued transactions for block.
 func (g *Gate) Pending(block int64) int {
 	if st, ok := g.m[block]; ok {
-		return len(st.q)
+		return len(st.q) - st.head
 	}
 	return 0
 }

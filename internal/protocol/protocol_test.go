@@ -73,6 +73,46 @@ func TestGateSerialization(t *testing.T) {
 	}
 }
 
+// TestGateAllocFree pins gate-state recycling: once a gate has locked,
+// queued on and unlocked a block, further Lock/Wait/Unlock cycles — on
+// that block or another — allocate nothing.
+func TestGateAllocFree(t *testing.T) {
+	g := NewGate()
+	ran := 0
+	fn := func() { ran++ }
+	cycle := func(b int64) {
+		g.Lock(b)
+		g.Wait(b, fn)
+		g.Unlock(b)
+	}
+	cycle(1)
+	if n := testing.AllocsPerRun(100, func() { cycle(1); cycle(2) }); n != 0 {
+		t.Errorf("warmed gate allocates %.1f objects per Lock/Wait/Unlock cycle pair", n)
+	}
+	if ran != 203 || g.Busy(1) || g.Busy(2) {
+		t.Fatalf("ran %d replays (want 203), busy 1=%v 2=%v", ran, g.Busy(1), g.Busy(2))
+	}
+}
+
+// TestGateNestedUnlockRecyclesOnce covers a replayed transaction that
+// locks and drains its own block before the outer Unlock returns: the
+// block's state must be recycled once, so two later locks never share it.
+func TestGateNestedUnlockRecyclesOnce(t *testing.T) {
+	g := NewGate()
+	g.Lock(1)
+	g.Wait(1, func() {
+		g.Lock(1)
+		g.Unlock(1)
+	})
+	g.Unlock(1)
+	g.Lock(2)
+	g.Lock(3)
+	g.Unlock(2)
+	if !g.Busy(3) || g.Busy(2) || g.Busy(1) {
+		t.Fatalf("busy 1=%v 2=%v 3=%v, want only 3", g.Busy(1), g.Busy(2), g.Busy(3))
+	}
+}
+
 func TestGatePanics(t *testing.T) {
 	g := NewGate()
 	func() {
