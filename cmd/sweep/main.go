@@ -34,11 +34,7 @@ func main() {
 	}
 	cli.Check("sweep", obsFlags.Start())
 	defer obsFlags.Stop()
-	ob := exp.Observer{Tracer: obsFlags.Tracer, Spans: obsFlags.Spans, Metrics: obsFlags.WriteMetrics, SampleEvery: obsFlags.SampleEvery(), Faults: obsFlags.Faults(), Deadline: obsFlags.Deadline(), Live: obsFlags.Live()}
-	if obsFlags.Checking() {
-		ob.Check = obsFlags.CheckSink
-	}
-	s := exp.NewSession(ob, *parallel, obsFlags.Shards())
+	s := obsFlags.Session(*parallel)
 	start := time.Now()
 
 	runSweep(s, os.Stdout, *only, *procs, *trials)

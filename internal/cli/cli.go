@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"dircoh/internal/check"
+	"dircoh/internal/exp"
 	"dircoh/internal/mesh"
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
@@ -371,6 +372,19 @@ func (o *Obs) CheckSink(run string) check.Sink {
 		return check.NewWriterSink(os.Stderr, run)
 	}
 	return nil
+}
+
+// Session builds the experiment session a command drives its simulations
+// through: every observability hook these flags select (the invariant
+// checker only under -check or -check-out), at most parallel concurrent
+// runs (<= 0 means one per core), each at the -shards width.
+func (o *Obs) Session(parallel int) *exp.Session {
+	ob := exp.Observer{Tracer: o.Tracer, Spans: o.Spans, Metrics: o.WriteMetrics, SampleEvery: o.SampleEvery(),
+		Faults: o.Faults(), Deadline: o.Deadline(), Live: o.Live()}
+	if o.Checking() {
+		ob.Check = o.CheckSink
+	}
+	return exp.NewSession(ob, parallel, o.Shards())
 }
 
 // SampleEvery returns the -sample-every period in cycles (0 = disabled).

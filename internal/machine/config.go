@@ -166,8 +166,9 @@ type Config struct {
 	// issues, directory lookups, invalidation fan-outs, overflow bursts,
 	// directory evictions, lock retries). nil disables tracing at the cost
 	// of one pointer test per would-be event. Sharded runs buffer events
-	// per shard and flush them in the canonical (time, key) order at
-	// quiescence, so the event stream is byte-identical at every width.
+	// per shard and flush them in the canonical (time, key) order at the
+	// end of every window, so the event stream is byte-identical at every
+	// width.
 	Trace *obs.Tracer
 	// Spans, when non-nil, receives parented transaction spans: every
 	// remote memory transaction (read miss, write miss, upgrade, lock
@@ -178,7 +179,8 @@ type Config struct {
 	// histograms. nil disables span tracing at the cost of one pointer
 	// test per would-be transaction. Sharded runs allocate width-
 	// independent span IDs and flush buffered spans in canonical order at
-	// quiescence, so span output is byte-identical at every width.
+	// the end of every window, so span output is byte-identical at every
+	// width.
 	Spans *obs.SpanRecorder
 	// SampleEvery, when > 0, samples queue depths every SampleEvery
 	// cycles into the dir.queue.depth, dir.entries.live and

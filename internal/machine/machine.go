@@ -135,6 +135,9 @@ type clusterNode struct {
 	busBusy sim.Time // cumulative bus occupancy (utilization accounting)
 	dirBusy sim.Time // cumulative directory occupancy
 	procs   []*proc
+	// sampleFn is the pre-bound m.sampleCluster(c), the queue-depth
+	// sampling chain (nil when Config.SampleEvery is 0).
+	sampleFn func()
 	// pendingReads merges outstanding read misses to the same block from
 	// different processors of the cluster (the RAC's request-merging
 	// function in DASH): followers wait for the leader's reply instead
@@ -328,6 +331,9 @@ func New(cfg Config) (*Machine, error) {
 		cl.shard = c % m.shard.n
 		cl.eng = m.shard.wheels[cl.shard]
 		cl.pool = &m.shard.pools[cl.shard]
+		if cfg.SampleEvery > 0 {
+			cl.sampleFn = func() { m.sampleCluster(cl) }
+		}
 		m.clusters = append(m.clusters, cl)
 	}
 	for p := 0; p < cfg.Procs; p++ {
@@ -472,21 +478,19 @@ func (m *Machine) sendTx(kind protocol.MsgKind, from, to int, tx *txState, arriv
 // whole disabled-path cost. node is always the executing cluster. At width
 // 1 the one wheel fires in the canonical (time, key) order, so the event
 // goes straight to the tracer; wider runs buffer it in the cluster's
-// shard, stamped with the firing position, and replay it in canonical
-// order at quiescence (see shardobs.go).
+// shard, stamped with the firing position, and merge it in canonical
+// order at the window's end (see shardobs.go).
 func (m *Machine) trace(kind obs.EventKind, node int, block, arg int64) {
 	if m.tr == nil {
 		return
 	}
 	c := m.clusters[node]
+	ev := obs.Event{T: uint64(c.eng.Now()), Node: int32(node), Kind: kind, Block: block, Arg: arg}
 	if m.shard.n == 1 {
-		m.tr.Emit(obs.Event{T: uint64(c.eng.Now()), Node: int32(node), Kind: kind, Block: block, Arg: arg})
+		m.tr.Emit(ev)
 		return
 	}
-	m.shard.obsBuf[c.shard].pushEv(keyedEvent{
-		key: c.eng.FiringKey(),
-		ev:  obs.Event{T: uint64(c.eng.Now()), Node: int32(node), Kind: kind, Block: block, Arg: arg},
-	})
+	m.shard.evBuf[c.shard].add(c, ev)
 }
 
 // MetricsSnapshot freezes the machine's metrics — every named counter,
@@ -626,8 +630,7 @@ func (m *Machine) Run(w *tango.Workload) (*Result, error) {
 	}
 	if m.cfg.SampleEvery > 0 {
 		for _, c := range m.clusters {
-			c := c
-			c.eng.AtKey(m.cfg.SampleEvery, uint64(c.id)<<40, func() { m.sampleCluster(c) })
+			c.scheduleSample(m.cfg.SampleEvery)
 		}
 	}
 	if m.cfg.Live != nil {

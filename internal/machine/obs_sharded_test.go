@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,73 @@ func TestShardedObsWidthIndependence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedObsAbortKeepsTrace: a run the liveness watchdog aborts keeps
+// its trace and span streams at every width. Four clusters contend for a
+// lock that proc 0 takes first and never releases; the sampling chain
+// keeps the wheels busy, so the watchdog fires instead of the queue
+// draining. Every window the run completed has been emitted by then, so
+// widths 2 and 4 must emit exactly the width-1 streams.
+func TestShardedObsAbortKeepsTrace(t *testing.T) {
+	const lock = 1000
+	streams := make([][]tango.Ref, 4)
+	for p := range streams {
+		var b tango.Builder
+		if p == 0 {
+			b.Lock(addr(lock))
+		}
+		for i := int64(0); i < 24; i++ {
+			b.Write(addr(4*i + int64(p)))
+			b.Read(addr(i))
+		}
+		if p != 0 {
+			b.Lock(addr(lock))
+			b.Unlock(addr(lock))
+		}
+		streams[p] = b.Refs()
+	}
+	w := wl(streams...)
+	run := func(shards int) ([]obs.Event, []obs.Span) {
+		ms := &obs.MemSink{}
+		sp := &obs.MemSpanSink{}
+		cfg := testConfig(4, FullVec)
+		cfg.Shards = shards
+		cfg.StuckBudget = 1 << 14
+		cfg.SampleEvery = 64
+		cfg.Trace = obs.NewTracer(ms, 0)
+		cfg.Spans = obs.NewSpanRecorder(sp, 0)
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Shards() != shards {
+			t.Fatalf("running %d shards, want %d", m.Shards(), shards)
+		}
+		if _, err := m.Run(w); !errors.As(err, new(*StuckError)) {
+			t.Fatalf("shards=%d: wedged run returned %v, want *StuckError", shards, err)
+		}
+		if err := m.FlushTrace(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.FlushSpans(); err != nil {
+			t.Fatal(err)
+		}
+		return ms.Events, sp.Spans
+	}
+	baseEv, baseSp := run(1)
+	if len(baseEv) == 0 || len(baseSp) == 0 {
+		t.Fatalf("width-1 aborted run emitted %d events and %d spans", len(baseEv), len(baseSp))
+	}
+	for _, shards := range []int{2, 4} {
+		ev, sp := run(shards)
+		if !reflect.DeepEqual(baseEv, ev) {
+			t.Errorf("shards=%d aborted trace differs from shards=1 (%d vs %d events)", shards, len(ev), len(baseEv))
+		}
+		if !reflect.DeepEqual(baseSp, sp) {
+			t.Errorf("shards=%d aborted span stream differs from shards=1 (%d vs %d spans)", shards, len(sp), len(baseSp))
+		}
 	}
 }
 

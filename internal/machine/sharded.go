@@ -18,11 +18,12 @@ package machine
 //
 // Observability shards with the simulation: every cluster records metrics
 // into its private registry (merged at quiescence), and at widths above 1
-// trace events and spans are buffered per shard with (time, key) stamps and
-// replayed in the canonical global order — see shardobs.go — so metrics,
-// traces, spans, and queue-depth samples are byte-identical at every shard
-// width. At width 1 the single wheel already fires in that order, so
-// records go straight to their sinks.
+// trace events and spans are buffered per shard with (time, key) stamps
+// and merged into the canonical global order between the barriers that
+// close each window — see shardobs.go — so metrics, traces, spans, and
+// queue-depth samples are byte-identical at every shard width. At width 1
+// the single wheel already fires in that order, so records go straight to
+// their sinks.
 //
 // Features that touch state across clusters outside this protocol (fault
 // injection, the invariant checker, mesh port contention, deliberate
@@ -128,12 +129,12 @@ type shardedCore struct {
 	// every worker computes the identical next window from it.
 	nextT []sim.Time
 
-	// obsBuf[s] is shard s's private trace-event and span buffer cell,
-	// stamped with firing positions and merged into the canonical order at
-	// quiescence (shardobs.go); unused at width 1. Only shard s appends;
-	// the merge runs after the workers join. Cells are cache-line padded: appends rewrite the
-	// slice headers constantly, and adjacent headers would false-share.
-	obsBuf []shardObsCell
+	// evBuf[s] and spBuf[s] hold shard s's trace events and spans of the
+	// current window, stamped with firing positions; worker 0 merges them
+	// into the canonical order between the window barriers (shardobs.go).
+	// Unused at width 1. Only shard s appends, only while its wheel runs.
+	evBuf []shardRecs[obs.Event]
+	spBuf []shardRecs[obs.Span]
 
 	barrier  spinBarrier
 	deadline time.Duration
@@ -165,7 +166,8 @@ func newShardedCore(m *Machine, n int) *shardedCore {
 		pools:    make([]evPool, n),
 		out:      make([][][]relayEv, n),
 		nextT:    make([]sim.Time, n),
-		obsBuf:   make([]shardObsCell, n),
+		evBuf:    make([]shardRecs[obs.Event], n),
+		spBuf:    make([]shardRecs[obs.Span], n),
 		deadline: m.cfg.Deadline,
 		budget:   m.cfg.StuckBudget,
 	}
@@ -252,6 +254,7 @@ func (s *shardedCore) worker(id int) {
 	m := s.m
 	limit, stuck := s.wdLimit, s.wdStuck
 	sampleWall := id == 0 && (s.deadline > 0 || m.cfg.Live != nil)
+	mergeObs := id == 0 && s.n > 1 && (m.tr != nil || m.spans != nil)
 	var windows uint64
 	for {
 		window := never
@@ -300,6 +303,9 @@ func (s *shardedCore) worker(id int) {
 		if s.budget > 0 {
 			limit, stuck = s.watchdogScan()
 		}
+		if mergeObs {
+			m.flushWindow()
+		}
 		// Worker 0 reads the wall clock for the deadline and the live
 		// throttle every wallEvery windows, so the clock read never shows
 		// up in profiles of short windows; neither can change results.
@@ -339,15 +345,11 @@ func (s *shardedCore) watchdogScan() (limit sim.Time, stuck int) {
 }
 
 // finalize folds the per-cluster registries and histograms into the
-// machine-level views Result and MetricsSnapshot read, after replaying the
-// per-shard trace/span buffers of a wider-than-1 run in canonical order.
-// The registries merge into m.reg itself — which is Config.Metrics when
-// the caller supplied an external registry. Counter sums and bucket-wise
-// histogram merges are order-independent, so the result is deterministic.
+// machine-level views Result and MetricsSnapshot read. The registries
+// merge into m.reg itself — which is Config.Metrics when the caller
+// supplied an external registry. Counter sums and bucket-wise histogram
+// merges are order-independent, so the result is deterministic.
 func (m *Machine) finalize() {
-	if m.shard.n > 1 {
-		m.flushShardObs()
-	}
 	for _, c := range m.clusters {
 		m.reg.Merge(c.res.reg)
 		m.invalHist.Merge(c.res.invalHist)

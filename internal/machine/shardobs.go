@@ -10,247 +10,91 @@ package machine
 // globally unique (cluster id in the high bits, a per-cluster sequence
 // below), and cross-cluster messages always travel at least the
 // conservative lookahead, so the (time, key) order of fired events is
-// identical at every shard count — it IS the width-1 firing order. At quiescence a k-way merge over the per-shard buffers,
-// popping the smallest (time, key) head, therefore replays the records in
-// exactly the order a width-1 run emitted them, making trace and span
-// output byte-identical across widths.
+// identical at every shard count — it IS the width-1 firing order.
+//
+// Windows cover disjoint time ranges, so every record of one window comes
+// before every record of the next. Between the two barriers that close a
+// window, worker 0 therefore merges the shards' buffers in (time, key)
+// order into the tracer and span recorder and truncates them for reuse:
+// the buffers hold one window's records, not a run's, and a run the
+// watchdog or the deadline aborts has already emitted every window it ran.
 //
 // Records a single callback emits share one stamp; they stay adjacent in
 // one buffer and the merge preserves their relative order (ties across
 // buffers cannot happen because keys are globally unique).
 
 import (
-	"sync"
 	"time"
 
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
 )
 
-// keyedEvent is one trace event stamped with its firing position (the
-// event's own T field carries the emission time).
-type keyedEvent struct {
-	key uint64
-	ev  obs.Event
-}
-
-// keyedSpan is one span stamped with its firing position. Spans need an
-// explicit time stamp: a span's End field is its semantic endpoint, which
-// for ack-gather children can differ from the cycle it was emitted at.
-type keyedSpan struct {
+// stamped is one trace event or span stamped with the position of the
+// event that emitted it. Spans need the explicit time: a span's End field
+// is its semantic endpoint, which for ack-gather children can differ from
+// the cycle it was emitted at.
+type stamped[T any] struct {
 	t   sim.Time
 	key uint64
-	sp  obs.Span
+	rec T
 }
 
-// obsChunkLen is the per-shard record chunk size. Chunks are sealed and a
-// fresh one allocated when full, so a record is written exactly once and
-// never moved: growing one flat slice instead would memmove the whole
-// buffer on every geometric regrowth, which profiles as the single
-// largest cost of sharded observability.
-const obsChunkLen = 1 << 15
-
-// Chunk pools recycle record chunks across runs: a retained buffer is hot
-// for exactly one run, and allocating fresh chunks every run pays the
-// allocator's zeroing for tens of megabytes each time.
-var (
-	evChunkPool = sync.Pool{New: func() any { return make([]keyedEvent, 0, obsChunkLen) }}
-	spChunkPool = sync.Pool{New: func() any { return make([]keyedSpan, 0, obsChunkLen) }}
-)
-
-// shardObsCell is one shard's record buffers, padded to its own cache
-// lines: the hot path rewrites the active-chunk headers on every append,
-// and without padding four shards' headers would share a line and thrash
-// it. ev/sp are the active chunks; evFull/spFull the sealed ones, in
-// append order.
-type shardObsCell struct {
-	ev     []keyedEvent
-	sp     []keyedSpan
-	evFull [][]keyedEvent
-	spFull [][]keyedSpan
-	_      [128 - 96]byte
+// shardRecs is one shard's records of the current window plus the merge
+// cursor, padded to its own cache lines: the hot path rewrites the slice
+// header on every append, and adjacent shards' headers would false-share.
+type shardRecs[T any] struct {
+	recs []stamped[T]
+	pos  int
+	_    [128 - 32]byte
 }
 
-// pushEv appends one trace record; the in-chunk path is small enough to
-// inline into the trace hot path, the chunk-seal path is split out.
-func (c *shardObsCell) pushEv(e keyedEvent) {
-	if len(c.ev) < cap(c.ev) {
-		c.ev = append(c.ev, e)
-		return
+// add appends rec, stamped with cluster c's firing position.
+func (b *shardRecs[T]) add(c *clusterNode, rec T) {
+	b.recs = append(b.recs, stamped[T]{t: c.eng.Now(), key: c.eng.FiringKey(), rec: rec})
+}
+
+// mergeWindow hands every buffered record to sink in (time, key) order,
+// then truncates the buffers for the next window. Each buffer is already
+// in that order (its shard's wheel fired it so), so repeatedly emitting
+// the smallest head is a k-way merge. Callers hold every shard quiescent.
+func mergeWindow[T any](bufs []shardRecs[T], sink interface{ Emit(T) }) {
+	for {
+		var best *shardRecs[T]
+		for i := range bufs {
+			b := &bufs[i]
+			if b.pos == len(b.recs) {
+				continue
+			}
+			if best == nil {
+				best = b
+				continue
+			}
+			h, bh := &b.recs[b.pos], &best.recs[best.pos]
+			if h.t < bh.t || h.t == bh.t && h.key < bh.key {
+				best = b
+			}
+		}
+		if best == nil {
+			break
+		}
+		sink.Emit(best.recs[best.pos].rec)
+		best.pos++
 	}
-	c.growEv(e)
+	for i := range bufs {
+		bufs[i].recs, bufs[i].pos = bufs[i].recs[:0], 0
+	}
 }
 
-func (c *shardObsCell) growEv(e keyedEvent) {
-	if c.ev != nil {
-		c.evFull = append(c.evFull, c.ev)
-	}
-	c.ev = append(evChunkPool.Get().([]keyedEvent)[:0], e)
-}
-
-// pushSp appends one span record; same split as pushEv.
-func (c *shardObsCell) pushSp(e keyedSpan) {
-	if len(c.sp) < cap(c.sp) {
-		c.sp = append(c.sp, e)
-		return
-	}
-	c.growSp(e)
-}
-
-func (c *shardObsCell) growSp(e keyedSpan) {
-	if c.sp != nil {
-		c.spFull = append(c.spFull, c.sp)
-	}
-	c.sp = append(spChunkPool.Get().([]keyedSpan)[:0], e)
-}
-
-// evCursor walks one shard's sealed+active event chunks in append order.
-type evCursor struct {
-	chunks [][]keyedEvent
-	i      int
-}
-
-func (c *evCursor) head() *keyedEvent {
-	for len(c.chunks) > 0 && c.i >= len(c.chunks[0]) {
-		c.chunks = c.chunks[1:]
-		c.i = 0
-	}
-	if len(c.chunks) == 0 {
-		return nil
-	}
-	return &c.chunks[0][c.i]
-}
-
-// spCursor is evCursor for span chunks.
-type spCursor struct {
-	chunks [][]keyedSpan
-	i      int
-}
-
-func (c *spCursor) head() *keyedSpan {
-	for len(c.chunks) > 0 && c.i >= len(c.chunks[0]) {
-		c.chunks = c.chunks[1:]
-		c.i = 0
-	}
-	if len(c.chunks) == 0 {
-		return nil
-	}
-	return &c.chunks[0][c.i]
-}
-
-// flushShardObs replays the per-shard trace and span buffers into the
-// machine's recorders in canonical (time, key) order. Called once at
-// quiescence of a run wider than 1, before the registries merge.
-func (m *Machine) flushShardObs() {
-	s := m.shard
-	var wg sync.WaitGroup
-	if m.tr != nil && m.spans != nil {
-		// The two merges touch disjoint recorders; overlap them.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.mergeShardSpans()
-		}()
-	} else if m.spans != nil {
-		m.mergeShardSpans()
-	}
+// flushWindow emits the window's trace events and spans, merged across
+// shards. Worker 0 calls it between the window barriers of a run wider
+// than 1.
+func (m *Machine) flushWindow() {
 	if m.tr != nil {
-		cur := make([]evCursor, s.n)
-		heads := make([]*keyedEvent, s.n)
-		live := 0
-		for sh := range cur {
-			cell := &s.obsBuf[sh]
-			cur[sh].chunks = append(cell.evFull, cell.ev)
-			if heads[sh] = cur[sh].head(); heads[sh] != nil {
-				live++
-			}
-		}
-		for live > 1 {
-			best, bh := -1, (*keyedEvent)(nil)
-			for sh, h := range heads {
-				if h == nil {
-					continue
-				}
-				if best < 0 || h.ev.T < bh.ev.T || (h.ev.T == bh.ev.T && h.key < bh.key) {
-					best, bh = sh, h
-				}
-			}
-			m.tr.Emit(bh.ev)
-			cur[best].i++
-			if heads[best] = cur[best].head(); heads[best] == nil {
-				live--
-			}
-		}
-		// One buffer left: drain its chunks without per-record compares.
-		for sh, h := range heads {
-			if h == nil {
-				continue
-			}
-			for h != nil {
-				m.tr.Emit(h.ev)
-				cur[sh].i++
-				h = cur[sh].head()
-			}
-		}
+		mergeWindow(m.shard.evBuf, m.tr)
 	}
-	wg.Wait()
-	for i := range s.obsBuf {
-		cell := &s.obsBuf[i]
-		for _, ch := range cell.evFull {
-			evChunkPool.Put(ch[:0])
-		}
-		if cell.ev != nil {
-			evChunkPool.Put(cell.ev[:0])
-		}
-		for _, ch := range cell.spFull {
-			spChunkPool.Put(ch[:0])
-		}
-		if cell.sp != nil {
-			spChunkPool.Put(cell.sp[:0])
-		}
-		*cell = shardObsCell{}
-	}
-}
-
-// mergeShardSpans is flushShardObs's span half: the k-way (time, key)
-// merge of the per-shard span buffers into the machine recorder.
-func (m *Machine) mergeShardSpans() {
-	s := m.shard
-	cur := make([]spCursor, s.n)
-	heads := make([]*keyedSpan, s.n)
-	live := 0
-	for sh := range cur {
-		cell := &s.obsBuf[sh]
-		cur[sh].chunks = append(cell.spFull, cell.sp)
-		if heads[sh] = cur[sh].head(); heads[sh] != nil {
-			live++
-		}
-	}
-	for live > 1 {
-		best, bh := -1, (*keyedSpan)(nil)
-		for sh, h := range heads {
-			if h == nil {
-				continue
-			}
-			if best < 0 || h.t < bh.t || (h.t == bh.t && h.key < bh.key) {
-				best, bh = sh, h
-			}
-		}
-		m.spans.Emit(bh.sp)
-		cur[best].i++
-		if heads[best] = cur[best].head(); heads[best] == nil {
-			live--
-		}
-	}
-	for sh, h := range heads {
-		if h == nil {
-			continue
-		}
-		for h != nil {
-			m.spans.Emit(h.sp)
-			cur[sh].i++
-			h = cur[sh].head()
-		}
+	if m.spans != nil {
+		mergeWindow(m.shard.spBuf, m.spans)
 	}
 }
 
@@ -280,10 +124,17 @@ func (m *Machine) sampleCluster(c *clusterNode) {
 	c.res.portDepth.Observe(uint64(c.res.net.PortBacklog(c.id, now)))
 	for _, p := range c.procs {
 		if !p.done {
-			c.eng.AtKey(now+m.cfg.SampleEvery, uint64(c.id)<<40, func() { m.sampleCluster(c) })
+			c.scheduleSample(now + m.cfg.SampleEvery)
 			return
 		}
 	}
+}
+
+// scheduleSample queues the cluster's next sample at time t on its
+// reserved key. The chain is bound once per cluster (sampleFn), so
+// sampling allocates nothing per sample.
+func (c *clusterNode) scheduleSample(t sim.Time) {
+	c.eng.AtKey(t, uint64(c.id)<<40, c.sampleFn)
 }
 
 // livePublishEvery throttles in-run snapshot publishing: a sample per

@@ -77,13 +77,13 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 // emitSpan hands one span to the recorder (and, when checking is on, to
 // the checker's span-tiling verifier). At width 1 the wheel fires in the
 // canonical order, so the span goes straight to the recorder; wider runs
-// buffer it in the executing shard's cell, stamped with the firing event's
-// (time, key) position, and replay it into the recorder in the canonical
-// global order at quiescence — see shardobs.go. The checker only runs at
-// width 1.
+// buffer it in the executing shard, stamped with the firing event's
+// (time, key) position, and merge it into the recorder in the canonical
+// global order at the window's end — see shardobs.go. The checker only
+// runs at width 1.
 func (m *Machine) emitSpan(c *clusterNode, s obs.Span) {
 	if m.shard.n > 1 {
-		m.shard.obsBuf[c.shard].pushSp(keyedSpan{t: c.eng.Now(), key: c.eng.FiringKey(), sp: s})
+		m.shard.spBuf[c.shard].add(c, s)
 		return
 	}
 	m.spans.Emit(s)
